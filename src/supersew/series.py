@@ -16,7 +16,7 @@ invertible leading monomial.
 from fractions import Fraction
 
 from .scalars import GQ
-from .grassmann import GrassmannElement as GE, NotInvertible
+from .grassmann import GrassmannElement as GE, NotInvertible, key_weight
 
 XVAR = "x"
 PHI = ("ph", 0)
@@ -429,8 +429,13 @@ class SuperMap:
             margin = abs(h.support_min()) + 1
             inv, inv_exact = _series_inverse_el(ev, wcap=wcap, trunc=trunc,
                                                 margin=margin)
+        truncs = None
+        if trunc is not None and _cuts_sound(
+                h, trunc[0], [ev.el, od.el] + ([] if inv is None else [inv])):
+            truncs = [trunc]
         el = h.el.subs({h.evar: ev.el, h.ovar: od.el},
-                       inverses=None if inv is None else {h.evar: inv})
+                       inverses=None if inv is None else {h.evar: inv},
+                       truncs=truncs)
         if trunc is not None:
             el = el.truncate(*trunc)
         nmax = _compose_window(h, ev, od, wcap if not inv_exact else None)
@@ -570,6 +575,28 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
         if term:
             raise WindowError("series inversion did not terminate under caps")
     return GE.evar(xv, -m, w) * (acc * ci), not pruned
+
+
+def _cuts_sound(h, weights, substituted):
+    """True when ``h.el.subs`` may cut its partial products at a weighted
+    degree: every element substituted in has no term of negative weight, nor
+    has the part of any term of h that subs multiplies in unchanged (its
+    other even powers together, and each other odd generator).  A partial
+    product above the cap then stays above it, so the final cut keeps the
+    same terms.  The x-window is no such grading: negative powers of x lower
+    the x-degree, so it is never cut early."""
+    for el in substituted:
+        lo = el.wdegree_min(weights)
+        if lo is not None and lo < 0:
+            return False
+    for evens, odds in h.el.t:
+        kept = tuple((n, e) for n, e in evens if n != h.evar)
+        if key_weight((kept, ()), weights) < 0:
+            return False
+        if any(key_weight(((), (o,)), weights) < 0
+               for o in odds if o != h.ovar):
+            return False
+    return True
 
 
 def _compose_window(h, ev, od, wcap):

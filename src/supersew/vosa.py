@@ -15,6 +15,7 @@ suite.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE
@@ -31,6 +32,11 @@ PH2 = ("ph", 2)
 
 
 def binom(r, i):
+    """The generalised binomial coefficient C(r, i) = r(r-1)...(r-i+1)/i!."""
+    if type(r) is int:
+        if r >= 0:
+            return comb(r, i)
+        return (-1) ** i * comb(i - r - 1, i)
     out = Fraction(1)
     for k in range(i):
         out *= Fraction(r - k, k + 1)

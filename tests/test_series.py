@@ -260,3 +260,65 @@ def test_noninvertible_leading_coefficient_rejected():
     H = SuperMap(S({1: z(1) * z(2), 2: 1}), S({}, {0: 1}))
     with pytest.raises(Exception):
         H.inverse_at_zero(order=3)
+
+
+def _record_subs_truncs(monkeypatch):
+    """Record the ``truncs`` argument of every GrassmannElement.subs call."""
+    seen = []
+    subs = GE.subs
+
+    def spy(self, *args, **kw):
+        seen.append(kw.get("truncs"))
+        return subs(self, *args, **kw)
+    monkeypatch.setattr(GE, "subs", spy)
+    return seen
+
+
+def _uncut(monkeypatch, m, h, trunc):
+    from supersew import series
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_cuts_sound", lambda *args: False)
+        return m.compose_series(h, trunc=trunc)
+
+
+def test_compose_series_graded_cut_matches_uncut_expansion(monkeypatch):
+    u = GE.evar("u", 1, W)
+    # a map graded by the marker u, with u^0 part x -> x, phi -> phi
+    m = SuperMap(S({1: 1, 2: u + u * z(1) * z(2), 3: u * u * z(3) * z(4)},
+                   {1: u * z(1)}),
+                 S({2: u * z(2)}, {0: 1, 1: u, 2: u * u * z(1) * z(3)}))
+    # negative x-powers make compose_series expand the inverse of m.ev too
+    h = S({-2: 1, -1: u * z(1) * z(2), 1: 3, 3: -1 + u},
+          {-1: z(1) * z(3), 0: 1, 2: u * u})
+    trunc = ({"u": 1}, 3)
+    want = _uncut(monkeypatch, m, h, trunc)
+    seen = _record_subs_truncs(monkeypatch)
+    got = m.compose_series(h, trunc=trunc)
+    assert seen == [[trunc]]
+    assert got.el == want.el and got.nmax == want.nmax
+    assert got.el.wdegree({"u": 1}) == 3
+    # the cut leaves every exact term: compare with the full expansion
+    full = _uncut(monkeypatch, m, h, ({"u": 1}, 10)).el.truncate({"u": 1}, 3)
+    assert got.el == full
+
+
+def test_compose_series_negative_weight_takes_uncut_path(monkeypatch):
+    u = GE.evar("u", 1, W)
+    uinv = GE.evar("u", -1, W)
+    trunc = ({"u": 1}, 2)
+    cases = [
+        # a term of h of negative weight
+        (SuperMap(S({1: 1, 2: u * z(1) * z(2)}), S({}, {0: 1, 1: u})),
+         S({1: 1, 2: uinv * z(3) * z(4), 3: u})),
+        # a term of the inner map of negative weight
+        (SuperMap(S({1: 1, 2: uinv * z(1) * z(2)}), S({}, {0: 1, 1: u})),
+         S({1: 2, 2: u, 3: u * u}, {0: 1})),
+    ]
+    for m, h in cases:
+        want = _uncut(monkeypatch, m, h, trunc)
+        with monkeypatch.context() as mp:
+            seen = _record_subs_truncs(mp)
+            got = m.compose_series(h, trunc=trunc)
+        assert seen == [None]
+        assert got.el == want.el
+        assert got.el.wdegree_min({"u": 1}) == -1

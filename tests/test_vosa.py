@@ -5,9 +5,9 @@ from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
 from supersew.nsmod import FockModule, GradedVector, level_of
 from supersew.vosa import (ABOSE, PH1, PH2, PSIV, TAU, VAC, X0, X1, X2,
-                           FockVOSA, RationalSuperfunction, delta_series,
-                           iterate_series, monomial_window, pair_dual,
-                           two_point)
+                           FockVOSA, RationalSuperfunction, binom,
+                           delta_series, iterate_series, monomial_window,
+                           pair_dual, two_point)
 
 W = 4
 
@@ -18,6 +18,27 @@ def _gq(c):
 
 def vosa():
     return FockVOSA(width=W)
+
+
+def binom_loop(r, i):
+    """Reference: the falling-factorial product, one Fraction factor at a
+    time."""
+    out = Fraction(1)
+    for k in range(i):
+        out *= Fraction(r - k, k + 1)
+    return out
+
+
+def test_binom_matches_fraction_loop():
+    for r in range(-12, 13):
+        for i in range(31):
+            got = binom(r, i)
+            assert type(got) is int
+            assert got == binom_loop(r, i), (r, i)
+    half = Fraction(-3, 2)
+    for i in range(31):
+        assert binom(half, i) == binom_loop(half, i)
+    assert binom(half, 2) == Fraction(15, 8)
 
 
 def test_vacuum_modes_are_identity():
