@@ -22,7 +22,7 @@ and then 1/a = sum_n (-1)^n a_S^n / a_B^(n+1), a finite sum by nilpotency.
 
 from fractions import Fraction
 
-from .scalars import GQ, frac_str
+from .scalars import GQ
 
 
 class WidthMismatch(ValueError):
@@ -137,21 +137,6 @@ class GrassmannElement:
     def ovar(cls, oid, width=0):
         """An odd bookkeeping generator outside the zeta family."""
         return cls(width, {((), (oid,)): GQ(1)})
-
-    @classmethod
-    def from_terms(cls, width, terms):
-        t = {}
-        for key, val in terms:
-            val = GQ.lift(val)
-            if not val:
-                continue
-            cur = t.get(key)
-            val = cur + val if cur is not None else val
-            if val:
-                t[key] = val
-            else:
-                t.pop(key, None)
-        return cls(width, t)
 
     def lift(self, x):
         if isinstance(x, GrassmannElement):
@@ -271,9 +256,6 @@ class GrassmannElement:
     def is_even(self):
         return all(len(k[1]) % 2 == 0 for k in self.t)
 
-    def is_odd(self):
-        return bool(self.t) and all(len(k[1]) % 2 == 1 for k in self.t)
-
     def parity_twist(self):
         """Negate the odd part (the grading involution)."""
         t = {k: (-v if len(k[1]) & 1 else v) for k, v in self.t.items()}
@@ -281,33 +263,6 @@ class GrassmannElement:
 
     def coeff(self, key):
         return self.t.get(key, GQ(0))
-
-    def even_part(self):
-        return GrassmannElement(self.width,
-                                {k: v for k, v in self.t.items() if not len(k[1]) & 1})
-
-    def odd_part(self):
-        return GrassmannElement(self.width,
-                                {k: v for k, v in self.t.items() if len(k[1]) & 1})
-
-    def pure_scalar(self):
-        """The GQ value of a constant element; error if not constant."""
-        if not self.t:
-            return GQ(0)
-        if set(self.t) != {EMPTY_KEY}:
-            raise ValueError("element is not a pure scalar: %r" % self)
-        return self.t[EMPTY_KEY]
-
-    def vars_even(self):
-        return {name for (evens, _) in self.t for name, _e in evens}
-
-    def max_exp(self, name):
-        exps = [dict(evens).get(name, 0) for (evens, _) in self.t]
-        return max(exps) if exps else 0
-
-    def min_exp(self, name):
-        exps = [dict(evens).get(name, 0) for (evens, _) in self.t]
-        return min(exps) if exps else 0
 
     # -- truncation --------------------------------------------------------
 
@@ -328,22 +283,6 @@ class GrassmannElement:
         return min(key_weight(k, weights) for k in self.t)
 
     # -- inversion ---------------------------------------------------------
-
-    def factor_even_monomial(self):
-        """Split self = monomial * rest with rest's exponents >= 0 per var."""
-        names = {name for (evens, _o) in self.t for name, _e in evens}
-        mins = {}
-        for name in names:
-            m = min(dict(evens).get(name, 0) for (evens, _o) in self.t)
-            if m:
-                mins[name] = m
-        if not mins:
-            return GrassmannElement.one(self.width), self
-        mono = GrassmannElement(self.width,
-                                {(tuple(sorted(mins.items())), ()): GQ(1)})
-        inv_mono_key = (tuple(sorted((n, -e) for n, e in mins.items())), ())
-        inv_mono = GrassmannElement(self.width, {inv_mono_key: GQ(1)})
-        return mono, inv_mono * self
 
     def inverse(self, trunc=None, maxit=None):
         """Multiplicative inverse.
@@ -535,34 +474,6 @@ class GrassmannElement:
                 bits.append(head)
         return " + ".join(bits)
 
-    def to_json(self):
-        """Spec encoding for pure exterior elements."""
-        out = []
-        for (evens, odds) in sorted(self.t):
-            if evens or any(g != "z" for g, _ in odds):
-                raise ValueError("JSON encoding defined for pure Grassmann "
-                                 "elements only")
-            val = self.t[(evens, odds)]
-            out.append({"indices": [i for _, i in odds],
-                        "re": frac_str(val.re), "im": frac_str(val.im)})
-        return out
-
-    @classmethod
-    def from_json(cls, data, width):
-        t = {}
-        for item in data:
-            idx = tuple(("z", int(i)) for i in item["indices"])
-            if list(idx) != sorted(set(idx)):
-                raise ValueError("indices must be strictly increasing")
-            for _, i in idx:
-                if not 1 <= i <= width:
-                    raise ValueError("index %d outside 1..%d" % (i, width))
-            val = GQ(Fraction(item.get("re", "0")), Fraction(item.get("im", "0")))
-            if val:
-                t[((), idx)] = val
-        return cls(width, t)
-
-
 def ge_exp(x, trunc=None, maxit=200):
     """exp of a nilpotent or graded-small even element."""
     if not x.is_even():
@@ -594,17 +505,3 @@ def ge_log(x, trunc=None, maxit=200):
             return out
         out = out + term * GQ(Fraction((-1) ** (n + 1), n))
     raise ValueError("logarithm series did not terminate")
-
-
-# -- spec-level operation aliases ------------------------------------------
-
-def gr_mul(a, b):
-    return a * b
-
-
-def gr_inverse(a):
-    return a.inverse()
-
-
-def gr_parity(a):
-    return a.parity()

@@ -15,10 +15,8 @@ negative-index generators; the full local coordinate at infinity is the
 composite (1/x, i phi/x) after the negative-index exponential map.
 """
 
-from .scalars import GQ
 from .grassmann import GrassmannElement as GE
-from .series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
-                     exp_ns_terms)
+from .series import PHI, XVAR, SuperMap, exp_ns_terms
 
 
 class CoordData:
@@ -73,19 +71,6 @@ class CoordData:
     def __repr__(self):
         return "CoordData(asqrt=%r, A=%r, M=%r)" % (self.asqrt, self.A, self.M)
 
-    def to_json(self):
-        return {"asqrt": self.asqrt.to_json(),
-                "A": {str(j): v.to_json() for j, v in sorted(self.A.items())},
-                "M": {str(r2): v.to_json() for r2, v in sorted(self.M.items())}}
-
-    @classmethod
-    def from_json(cls, data, width):
-        return cls(GE.from_json(data["asqrt"], width),
-                   {int(j): GE.from_json(v, width)
-                    for j, v in data.get("A", {}).items()},
-                   {int(r2): GE.from_json(v, width)
-                    for r2, v in data.get("M", {}).items()})
-
 
 class InfCoordData:
     """Coordinate-at-infinity data (A0, M0), finitely supported."""
@@ -124,17 +109,6 @@ class InfCoordData:
 
     def __repr__(self):
         return "InfCoordData(A=%r, M=%r)" % (self.A, self.M)
-
-    def to_json(self):
-        return {"A": {str(j): v.to_json() for j, v in sorted(self.A.items())},
-                "M": {str(r2): v.to_json() for r2, v in sorted(self.M.items())}}
-
-    @classmethod
-    def from_json(cls, data, width):
-        return cls({int(j): GE.from_json(v, width)
-                    for j, v in data.get("A", {}).items()},
-                   {int(r2): GE.from_json(v, width)
-                    for r2, v in data.get("M", {}).items()})
 
 
 def _lower_terms(A, M, sign):

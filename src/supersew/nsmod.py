@@ -430,17 +430,6 @@ class GradedVector:
                     out.pop(k2, None)
         return GradedVector(mod, out)
 
-    def apply_word(self, word):
-        """Apply a product of generators, rightmost factor first; entries of
-        word are idx2 or (idx2, coeff)."""
-        v = self
-        for item in reversed(word):
-            if isinstance(item, tuple):
-                v = v.apply_gen(item[0], item[1])
-            else:
-                v = v.apply_gen(item)
-        return v
-
     def apply_dilation(self, base, lpow=-2, base_inv=None, trunc=None):
         """(base)^{lpow * L(0)}: scale the weight-k piece by base^(lpow*k).
 

@@ -183,7 +183,3 @@ class GQ:
 ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
-
-
-def frac_str(q):
-    return "%d/%d" % (q.numerator, q.denominator)

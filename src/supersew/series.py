@@ -449,10 +449,6 @@ class SuperMap:
         return SuperMap(self.compose_series(outer.ev, wcap, trunc),
                         self.compose_series(outer.od, wcap, trunc))
 
-    def compose(self, inner, wcap=None, trunc=None):
-        """self o inner as maps (apply inner first)."""
-        return inner.then(self, wcap=wcap, trunc=trunc)
-
     def eval_at(self, z, theta, zinv=None, trunc=None):
         """Evaluate both components at a point; series must be exact."""
         vals = []

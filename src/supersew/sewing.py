@@ -12,9 +12,9 @@ which carry an explicit exactness window in the series variable.
 from fractions import Fraction
 
 from .scalars import GQ
-from .grassmann import GrassmannElement as GE, ge_exp, ge_log
-from .nscoord import (CoordData, InfCoordData, e_hat, e_hat_inv, e_tilde,
-                      inf_exp_map)
+from .grassmann import GrassmannElement as GE, NotInvertible, ge_exp, ge_log
+from .nscoord import (CoordData, InfCoordData, e_hat, e_hat_inv, e_inf_inv,
+                      e_tilde, inf_exp_map)
 from .series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
                      exp_ns_terms)
 
@@ -56,7 +56,7 @@ class ModuliPoint:
                 # symbolic punctures are allowed when formally invertible
                 try:
                     z.inverse()
-                except Exception:
+                except NotInvertible:
                     raise ValueError("puncture is not invertible")
         if len({(b.re, b.im) for b in bodies}) != len(bodies):
             raise ValueError("puncture bodies must be pairwise distinct")
@@ -119,23 +119,6 @@ class ModuliPoint:
         return ("ModuliPoint(n=%d, punctures=%r, inf=%r, coords=%r)"
                 % (self.n, self.punctures, self.inf, self.coords))
 
-    def to_json(self):
-        return {"n": self.n,
-                "punctures": [[z.to_json(), t.to_json()]
-                              for (z, t) in self.punctures],
-                "inf": self.inf.to_json(),
-                "coords": [c.to_json() for c in self.coords]}
-
-    @classmethod
-    def from_json(cls, data, width):
-        return cls(int(data["n"]),
-                   [(GE.from_json(z, width), GE.from_json(t, width))
-                    for z, t in data.get("punctures", [])],
-                   InfCoordData.from_json(data.get("inf", {}), width),
-                   [CoordData.from_json(c, width)
-                    for c in data.get("coords", [])],
-                   width)
-
 
 def _max_index(*datasets):
     out = 1
@@ -151,10 +134,6 @@ def _neg_terms(A, M, sign):
     terms = [(-2 * j, sign * v) for j, v in A.items()]
     terms += [(-r2, sign * v) for r2, v in M.items()]
     return terms
-
-
-def psi_to_json(psi):
-    return {str(j2): v.to_json() for j2, v in sorted(psi.items())}
 
 
 def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
@@ -291,7 +270,7 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
 
     rhs = vh.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
     p0 = psi.get(0, GE.zero(w))
-    rhs = GradedScale(rhs, p0, trunc)
+    rhs = _graded_scale(rhs, p0, trunc)
     rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 > 0],
                   trunc=trunc)
     rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 < 0],
@@ -313,7 +292,7 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
     return gamma
 
 
-def GradedScale(vec, p0, trunc):
+def _graded_scale(vec, p0, trunc):
     """exp(2 * p0 * L(0)) on a graded vector: weight-k piece times
     exp(2 k p0)."""
     out = {}
@@ -324,10 +303,6 @@ def GradedScale(vec, p0, trunc):
 
 
 # -- sewn-coordinate series --------------------------------------------------
-
-def theta_tables_json(table):
-    return {str(j2): v.to_json() for j2, v in sorted(table.items())}
-
 
 def theta1(asqrt, A, M, point, order, idxcap=None, width=None,
            finalize=True, as_data=False):
@@ -441,50 +416,40 @@ def _flip_series(s, width):
     return SuperSeries(GE(width, t), None, s.evar, s.ovar)
 
 
-def _flip_map(width):
-    """(x, phi) -> (1/x, phi): pure variable flip, not the superconformal
-    inversion."""
-    return SuperMap(SuperSeries(GE.evar(XVAR, -1, width)),
-                    SuperSeries(GE.ovar(PHI, width)))
-
-
 def e_inf_inv_flipped(Hf, idxcap, trunc, check=True):
     """Read infinity data from a composite expressed in the reciprocal
     variable (entry j sits at y^(j-1))."""
     Hf.ev.require_window(idxcap - 1)
     Hf.od.require_window(idxcap - 1)
-    A0, M0 = {}, {}
     w = Hf.width
-    floor = -(idxcap + 2)
-    for j in range(1, idxcap + 1):
-        cur = inf_exp_map(A0, M0, trunc, width=w, xfloor=floor)
-        cur_ev = _flip_series(cur.ev, w)
-        cur_od = _flip_series(cur.od, w)
-        res_e = Hf.ev.f_coeff(j - 1) - cur_ev.f_coeff(j - 1)
-        res_o = Hf.od.f_coeff(j - 1) - cur_od.f_coeff(j - 1)
-        if trunc is not None:
-            res_e = res_e.truncate(*trunc)
-            res_o = res_o.truncate(*trunc)
-        if res_e:
-            A0[j] = -res_e
-        if res_o:
-            M0[2 * j - 1] = -res_o
-    if check:
-        cur = inf_exp_map(A0, M0, trunc, width=w, xfloor=floor)
-        for j in range(1, idxcap + 1):
-            de = _flip_series(cur.ev, w).f_coeff(j - 1) - Hf.ev.f_coeff(j - 1)
-            do = _flip_series(cur.od, w).f_coeff(j - 1) - Hf.od.f_coeff(j - 1)
-            if trunc is not None:
-                de = de.truncate(*trunc)
-                do = do.truncate(*trunc)
-            if de or do:
-                raise SewError("composite is not an infinity coordinate at "
-                               "entry %d" % j)
-    return InfCoordData(A0, M0)
+    return e_inf_inv(SuperMap(_flip_series(Hf.ev, w), _flip_series(Hf.od, w)),
+                     idxcap, trunc, check)
+
+
+def _inf_map(inf, idxcap, trunc, w):
+    """The negative-index exponential map of ``inf``, exact at degrees
+    >= -(idxcap + 2)."""
+    return inf_exp_map(inf.A, inf.M, trunc, width=w, xfloor=-(idxcap + 2))
+
+
+def _inf_chain(p, f_inv, hd, wcap, trunc, w):
+    """The composite read by ``e_inf_inv_flipped``: the variable flip
+    (x, phi) -> (1/x, phi), then s_p^{-1} (none when p is None), then
+    ``f_inv`` (none when None), then the exponential map ``hd``."""
+    chain = SuperMap(SuperSeries(GE.evar(XVAR, -1, w)),
+                     SuperSeries(GE.ovar(PHI, w)))
+    shift = None if p is None else SuperMap.shift_inverse(p[0], p[1], width=w)
+    for f in (shift, f_inv, hd):
+        if f is not None:
+            chain = chain.then(f, wcap=wcap, trunc=trunc)
+    return chain
 
 
 def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     """Glue the 0-th tube of Q2 into the i-th tube of Q1.
+
+    The surviving tubes keep their order (Q1's tubes before i, Q2's tubes,
+    Q1's tubes after i), and the last one is pinned at 0.
 
     With trunc=None the coordinate data of both points is tagged by a
     bookkeeping variable "g" and the result is exact through total data
@@ -513,42 +478,36 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                     mark=False, trunc=trunc, width=w, finalize=False)
     ai = d_i.asqrt.inverse(trunc)
     ident = SuperMap.identity(w)
+    zero = GE.zero(w)
 
+    # F1 = fbar1 o s_(z_i, theta_i) on Q1's side
     tminus = [(j2, c) for j2, c in psi.items() if j2 < 0]
     fbar1 = SuperMap(exp_ns_terms(ident.ev, tminus, trunc=trunc),
                      exp_ns_terms(ident.od, tminus, trunc=trunc))
-    p0 = psi.get(0, GE.zero(w))
+    zi, thi = Q1.puncture(i)
+    f1_inv = fbar1.inverse_graded(trunc).then(SuperMap.shift_inverse(zi, thi))
+
+    def f1_eval(pt):
+        z, th = (zero, zero) if pt is None else pt
+        return fbar1.eval_at(z - zi - th * thi, th - thi, trunc=trunc)
+
+    # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
+    p0 = psi.get(0, zero)
     psiplus_A = {j2 // 2: c for j2, c in psi.items() if j2 > 0 and j2 % 2 == 0}
     psiplus_M = {j2: c for j2, c in psi.items() if j2 > 0 and j2 % 2 == 1}
-    scale0 = SuperMap(SuperSeries(ge_exp(2 * p0, trunc) * GE.evar(XVAR, 1, w)),
-                      SuperSeries(ge_exp(p0, trunc) * GE.ovar(PHI, w)))
-    fbar2 = scale0.then(SuperMap.dilation(ai)).then(
-        e_tilde(psiplus_A, psiplus_M, trunc=trunc, width=w), trunc=trunc)
-
-    zi, thi = Q1.puncture(i)
-    fbar1_inv = fbar1.inverse_graded(trunc)
-    f1_inv = fbar1_inv.then(SuperMap.shift_inverse(zi, thi))
-
-    def f1_eval(z, th):
-        sz = z - zi - th * thi
-        st = th - thi
-        zv, tv = fbar1.eval_at(sz, st, trunc=trunc)
-        return zv, tv
-
-    etilde2_inv = e_tilde(psiplus_A, psiplus_M, trunc=trunc,
-                          width=w).inverse_graded(trunc)
+    tilde_plus = e_tilde(psiplus_A, psiplus_M, trunc=trunc, width=w)
     scale0_inv = SuperMap(
         SuperSeries(ge_exp(-2 * p0, trunc) * GE.evar(XVAR, 1, w)),
         SuperSeries(ge_exp(-p0, trunc) * GE.ovar(PHI, w)))
-    f2_inv = etilde2_inv.then(SuperMap.dilation(d_i.asqrt)) \
-                        .then(scale0_inv, trunc=trunc)
+    f2_inv = tilde_plus.inverse_graded(trunc) \
+        .then(SuperMap.dilation(d_i.asqrt)).then(scale0_inv, trunc=trunc)
 
-    tilde_plus = e_tilde(psiplus_A, psiplus_M, trunc=trunc, width=w)
-
-    def f2_eval(z, th):
-        # F2 = e_tilde(psi+) after dilation(ai) after the scale-by-exp map
-        z1 = ge_exp(2 * p0, trunc) * z
-        t1 = ge_exp(p0, trunc) * th
+    def f2_eval(pt):
+        # F2 fixes the origin, where Q2's last tube is pinned
+        if pt is None:
+            return None
+        z1 = ge_exp(2 * p0, trunc) * pt[0]
+        t1 = ge_exp(p0, trunc) * pt[1]
         return tilde_plus.eval_at(ai * ai * z1, ai * t1, trunc=trunc)
 
     def coord_at(coord, center, f_inv, p):
@@ -570,108 +529,46 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                 wc = 2 * wc + 8
         raise SewError("coordinate window did not stabilize")
 
-    def inf_at(infdata, f_inv, p):
-        hd = inf_exp_map(infdata.A, infdata.M, trunc, width=w,
-                         xfloor=-(idxcap + 2))
+    def inf_at(p):
+        hd = _inf_map(Q1.inf, idxcap, trunc, w)
         wc = wcap
         for _attempt in range(5):
-            chain = _flip_map(w)
-            if p is not None:
-                chain = chain.then(SuperMap.shift_inverse(p[0], p[1],
-                                                          width=w),
-                                   wcap=wc, trunc=trunc)
-            chain = chain.then(f_inv, wcap=wc, trunc=trunc)
-            chain = chain.then(hd, wcap=wc, trunc=trunc)
+            chain = _inf_chain(p, f1_inv, hd, wc, trunc, w)
             try:
                 return e_inf_inv_flipped(chain, idxcap, trunc)
             except WindowError:
                 wc = 2 * wc + 8
         raise SewError("infinity window did not stabilize")
 
-    def finalize_point(Qout):
-        if finalize:
-            one = GE.one(w)
-            Qout = Qout.subs({"g": one})
-            Qout.validate()
-        return Qout
+    # the surviving tubes in order, as (puncture in its own sphere or None
+    # when pinned at 0, coordinate datum, F_eval, F_inv)
+    def side(Q, ks, f_eval, f_inv):
+        return [(Q.punctures[k - 1] if k < Q.n else None, Q.coords[k - 1],
+                 f_eval, f_inv) for k in ks]
 
-    if i == m and n > 0:
-        new_punct = []
-        new_coords = []
-        for k in range(1, m):
-            zk, tk = Q1.punctures[k - 1]
-            pz, pt = f1_eval(zk, tk)
-            new_punct.append((pz, pt))
-            new_coords.append(coord_at(Q1.coords[k - 1], (zk, tk), f1_inv,
-                                       (pz, pt)))
-        for l in range(1, n):
-            zl, tl = Q2.punctures[l - 1]
-            qz, qt = f2_eval(zl, tl)
-            new_punct.append((qz, qt))
-            new_coords.append(coord_at(Q2.coords[l - 1], (zl, tl), f2_inv,
-                                       (qz, qt)))
-        new_coords.append(coord_at(Q2.coords[n - 1], None, f2_inv, None))
-        new_inf = inf_at(Q1.inf, f1_inv, None)
-        out = ModuliPoint(m + n - 1, new_punct, new_inf, new_coords, w,
-                          validate=False)
-        return finalize_point(out)
-
-    if i == m and n == 0:
-        if m == 1:
-            ap, mp = _solve_center_normalization(Q1.inf, f1_inv, wcap,
-                                                 idxcap, trunc, w)
-            new_inf = inf_at(Q1.inf, f1_inv, (ap, mp))
-            out = ModuliPoint(0, [], new_inf, [], w, validate=False)
-            return finalize_point(out)
-        zl, tl = Q1.punctures[m - 2]
-        p = f1_eval(zl, tl)
-        new_punct = []
-        new_coords = []
-        for k in range(1, m - 1):
-            zk, tk = Q1.punctures[k - 1]
-            pz, pt = f1_eval(zk, tk)
-            pz = pz - p[0] - pt * p[1]
-            pt = pt - p[1]
-            new_punct.append((pz, pt))
-            new_coords.append(coord_at(Q1.coords[k - 1], (zk, tk), f1_inv,
-                                       p_then(p, (pz, pt))))
-        new_coords.append(coord_at(Q1.coords[m - 2], (zl, tl), f1_inv, p))
-        new_inf = inf_at(Q1.inf, f1_inv, p)
-        out = ModuliPoint(m - 1, new_punct, new_inf, new_coords, w,
-                          validate=False)
-        return finalize_point(out)
-
-    # i < m
-    p = f1_eval(GE.zero(w), GE.zero(w))
-    new_punct = []
-    new_coords = []
-    for k in range(1, i):
-        zk, tk = Q1.punctures[k - 1]
-        pz, pt = f1_eval(zk, tk)
-        new_punct.append((_shift_pt(p, (pz, pt))))
-        new_coords.append(coord_at(Q1.coords[k - 1], (zk, tk), f1_inv,
-                                   p_then(p, new_punct[-1])))
-    if n > 0:
-        for l in range(1, n):
-            zl, tl = Q2.punctures[l - 1]
-            qz, qt = f2_eval(zl, tl)
-            new_punct.append(_shift_pt(p, (qz, qt)))
-            new_coords.append(coord_at(Q2.coords[l - 1], (zl, tl), f2_inv,
-                                       p_then(p, new_punct[-1])))
-        new_punct.append((-p[0], -p[1]))
-        new_coords.append(coord_at(Q2.coords[n - 1], None, f2_inv,
-                                   p_then(p, new_punct[-1])))
-    for k in range(i + 1, m):
-        zk, tk = Q1.punctures[k - 1]
-        pz, pt = f1_eval(zk, tk)
-        new_punct.append(_shift_pt(p, (pz, pt)))
-        new_coords.append(coord_at(Q1.coords[k - 1], (zk, tk), f1_inv,
-                                   p_then(p, new_punct[-1])))
-    new_coords.append(coord_at(Q1.coords[m - 1], None, f1_inv, p))
-    new_inf = inf_at(Q1.inf, f1_inv, p)
-    out = ModuliPoint(m + n - 1, new_punct, new_inf, new_coords, w,
+    tubes = (side(Q1, range(1, i), f1_eval, f1_inv)
+             + side(Q2, range(1, n + 1), f2_eval, f2_inv)
+             + side(Q1, range(i + 1, m + 1), f1_eval, f1_inv))
+    # image of each tube's puncture in the glued sphere (None: the origin)
+    images = [f_eval(center) for center, _c, f_eval, _f in tubes]
+    if tubes:
+        # recenter so that the last tube sits at 0
+        p = images[-1]
+    else:
+        p = _solve_center_normalization(Q1.inf, f1_inv, wcap, idxcap, trunc,
+                                        w)
+    new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
+                 for q in images[:-1]]
+    # undoing the shift to the new puncture and then the recentering undoes
+    # the shift to the image, so each coordinate is read through its image
+    new_coords = [coord_at(coord, center, f_inv, q)
+                  for (center, coord, _e, f_inv), q in zip(tubes, images)]
+    out = ModuliPoint(m + n - 1, new_punct, inf_at(p), new_coords, w,
                       validate=False)
-    return finalize_point(out)
+    if finalize:
+        out = out.subs({"g": GE.one(w)})
+        out.validate()
+    return out
 
 
 def _shift_pt(p, q):
@@ -679,34 +576,14 @@ def _shift_pt(p, q):
     return (q[0] - p[0] - q[1] * p[1], q[1] - p[1])
 
 
-def p_then(p, target):
-    """The shift center that sends the composite's zero to ``target``:
-    the coordinate composite is (...) o s_p^{-1} shifted so it vanishes at
-    s_p(q) = target, i.e. recentered by shifting with the target point."""
-    return p if target is None else _compose_centers(p, target)
-
-
-def _compose_centers(p, target):
-    # s_target o s_p ... the coordinate chain uses s_p^{-1} then recenters
-    # at the new puncture: overall shift center is p composed with target
-    z = p[0] + target[0] + target[1] * p[1]
-    t = p[1] + target[1]
-    return (z, t)
-
-
 def _solve_center_normalization(infdata, f1_inv, wcap, idxcap, trunc, w):
     """The unique recentering (a', m') killing the first infinity entries
     for a sewing that lands in the one-tube-less stratum."""
     ap = GE.zero(w)
     mp = GE.zero(w)
-    hd0 = inf_exp_map(infdata.A, infdata.M, trunc, width=w,
-                      xfloor=-(idxcap + 2))
+    hd0 = _inf_map(infdata, idxcap, trunc, w)
     for _ in range(trunc[1] + 2):
-        chain = _flip_map(w)
-        chain = chain.then(SuperMap.shift_inverse(ap, mp, width=w),
-                           wcap=wcap, trunc=trunc)
-        chain = chain.then(f1_inv, wcap=wcap, trunc=trunc)
-        chain = chain.then(hd0, wcap=wcap, trunc=trunc)
+        chain = _inf_chain((ap, mp), f1_inv, hd0, wcap, trunc, w)
         got = e_inf_inv_flipped(chain, 1, trunc, check=False)
         a1 = got.A.get(1, GE.zero(w))
         m1 = got.M.get(1, GE.zero(w))
@@ -776,13 +653,8 @@ def _transpose_adjacent(Q, k, cap, idxcap, trunc):
     if idxcap is None:
         jall = _max_index((Q.inf.A, Q.inf.M))
         idxcap = cap * jall + jall + 1
-    wcap = idxcap + 3
-    hd = inf_exp_map(Q.inf.A, Q.inf.M, trunc, width=w,
-                     xfloor=-(idxcap + 2))
-    chain = _flip_map(w)
-    chain = chain.then(SuperMap.shift(-zc, -tc, width=w), wcap=wcap,
-                       trunc=trunc)
-    chain = chain.then(hd, wcap=wcap, trunc=trunc)
+    hd = _inf_map(Q.inf, idxcap, trunc, w)
+    chain = _inf_chain((zc, tc), None, hd, idxcap + 3, trunc, w)
     new_inf = e_inf_inv_flipped(chain, idxcap, trunc)
     return ModuliPoint(n, punct, new_inf, coords, w, validate=False)
 

@@ -147,15 +147,6 @@ class FockVOSA:
                     out.pop(k2, None)
         return GradedVector(self.mod, out)
 
-    def apply_mode_vec(self, u_vec, m, vec, coeff=None):
-        """Modes of a (parity-homogeneous) linear combination of basis
-        vectors; the combination's coefficients multiply from the left."""
-        out = GradedVector(self.mod, {})
-        for u_key, c in u_vec.t.items():
-            cc = c if coeff is None else coeff * c
-            out = out + self.apply_mode(u_key, m, vec, cc)
-        return out
-
     # -- fields with odd variables -------------------------------------------
 
     def ytilde_apply(self, u, vec, evar, odd_factor, target2=None,

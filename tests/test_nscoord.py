@@ -141,11 +141,3 @@ def test_inf_exp_map_round_trip():
     hd = inf_exp_map(inf.A, inf.M, trunc, width=W)
     back = e_inf_inv(hd, idxcap=9, trunc=trunc)
     assert back.A == inf.A and back.M == inf.M
-
-
-def test_coorddata_json_round_trip():
-    rng = random.Random(13)
-    d = random_data(rng)
-    j = d.to_json()
-    back = CoordData.from_json(j, W)
-    assert back == d

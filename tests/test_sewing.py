@@ -345,9 +345,47 @@ def test_tangent_functional_two_routes():
         assert got.get(key) == val, (key, got.get(key), val)
 
 
-def test_moduli_json_round_trip():
-    rng = random.Random(23)
-    q = random_sk2(rng)
-    data = q.to_json()
-    back = ModuliPoint.from_json(data, W)
-    assert back == q
+def zero_tube_point():
+    """A point with no incoming tube and nilpotent infinity data."""
+    return ModuliPoint(0, [], InfCoordData({2: z(1) * z(4)}, {3: z(2)}), [], W)
+
+
+def test_unit_law_absorbs_zero_tube_point():
+    # i == m == 1, n == 0: the recentering that kills the first entries
+    q0 = zero_tube_point()
+    assert sew(ModuliPoint.unit(W), 1, q0, degree_cap=3) == q0
+
+
+def test_zero_tube_result_is_recentered_and_associative():
+    # the recentering that kills the first entries is nontrivial here
+    trunc = ({"g": 1}, 3)
+    kw = dict(degree_cap=3, idxcap=8, trunc=trunc, finalize=False)
+    q0 = zero_tube_point().mark("g")
+    qa = ModuliPoint.one_tube(InfCoordData(),
+                              CoordData(GE.one(W), {1: z(5) * z(6)},
+                                        {1: z(7)}), W).mark("g")
+    qb = ModuliPoint.one_tube(InfCoordData(),
+                              CoordData(sc(2), {1: sc(1)}, {1: z(3)}),
+                              W).mark("g")
+    lhs = sew(sew(qa, 1, qb, **kw), 1, q0, **kw)
+    assert lhs.n == 0 and 1 not in lhs.inf.A and 1 not in lhs.inf.M
+    assert lhs == sew(qa, 1, sew(qb, 1, q0, **kw), **kw)
+
+
+def test_sew_last_tube_with_zero_tube_point_matches_permuted_first():
+    # i == m > 1, n == 0 against i < m, n == 0 on the permuted point
+    trunc = ({"g": 1}, 2)
+    kw = dict(degree_cap=2, idxcap=6, trunc=trunc, finalize=False)
+    q = std2(sc(3) + z(5) * z(6), z(7)).mark("g")
+    q0 = zero_tube_point().mark("g")
+    lhs = sew(q, 2, q0, **kw)
+    swapped = sn_act((2, 1), q, cap=2, idxcap=6, trunc=trunc, finalize=False)
+    rhs = sew(swapped, 1, q0, **kw)
+    assert lhs.n == 1
+    assert lhs == rhs
+
+
+def test_puncture_with_zero_body_rejected():
+    with pytest.raises(ValueError):
+        ModuliPoint(2, [(z(1) * z(2), z(3))], InfCoordData(),
+                    [CoordData.identity(W)] * 2, W)
