@@ -15,8 +15,11 @@ negative-index generators; the full local coordinate at infinity is the
 composite (1/x, i phi/x) after the negative-index exponential map.
 """
 
+from fractions import Fraction
+
 from .grassmann import GrassmannElement as GE
-from .series import PHI, XVAR, SuperMap, exp_ns_terms
+from .scalars import GQ
+from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_terms
 
 
 class CoordData:
@@ -153,10 +156,14 @@ def e_hat(d, order=None, trunc=None, evar=XVAR, ovar=PHI):
 def e_hat_inv(H, order, trunc=None, check=True):
     """Recover (asqrt, A, M) from a superconformal series vanishing at 0.
 
-    Solves degree by degree; raises WindowError when H is not exact through
-    the requested order and ValueError when H is visibly not of the required
-    shape (nonzero value at 0, stray pure-x coefficients that no datum can
-    produce, non-invertible leading coefficient).
+    ``_read_off`` solves degree by degree: at x^n the even slot gives
+    A_{n-1}, then the odd slot M_{n-1/2}, each from the weight slices of
+    the exponential built so far, so no slice is built twice.  Raises
+    WindowError when H is not exact through the requested order and
+    ValueError when H is visibly not of the required shape (nonzero value
+    at 0, stray pure-x coefficients that no datum can produce, non-invertible
+    leading coefficient).  With ``check`` that shape test rebuilds the
+    series of the recovered datum once with ``e_hat`` and compares.
     """
     ev, od = H.ev, H.od
     for comp in (ev, od):
@@ -168,38 +175,19 @@ def e_hat_inv(H, order, trunc=None, check=True):
     a2i = ai * ai
     if check and (od.f_coeff(0)):
         raise ValueError("odd component has a constant term")
-    A, M = {}, {}
-    for n in range(1, order + 1):
-        # solve the even slot first: A_{n-1} feeds the odd slot at the same
-        # degree through cross terms like M_{1/2} A_{n-1}
-        cur = e_tilde(A, M, order=n, trunc=trunc,
-                      width=H.width, evar=H.evar, ovar=H.ovar)
-        res_e = a2i * ev.f_coeff(n) - cur.ev.f_coeff(n)
-        if trunc is not None:
-            res_e = res_e.truncate(*trunc)
-        if res_e:
-            if n == 1:
-                raise ValueError("x-coefficient of the even part is not "
-                                 "asqrt^2")
-            A[n - 1] = res_e
-            cur = e_tilde(A, M, order=n, trunc=trunc,
-                          width=H.width, evar=H.evar, ovar=H.ovar)
-        res_o = ai * od.f_coeff(n) - cur.od.f_coeff(n)
-        if trunc is not None:
-            res_o = res_o.truncate(*trunc)
-        if res_o:
-            M[2 * n - 1] = res_o
+    if _cut(a2i * ev.f_coeff(1) - GE.one(H.width), trunc):
+        raise ValueError("x-coefficient of the even part is not asqrt^2")
+    res, _ = _read_off(H, range(1, 2 * order), trunc, (a2i, ai))
+    A = {s // 2: v for s, v in res.items() if s % 2 == 0}
+    M = {s: v for s, v in res.items() if s % 2}
     if check:
         full = e_hat(CoordData(asqrt, A, M), order=order, trunc=trunc,
                      evar=H.evar, ovar=H.ovar)
         # the phi-part at x^order already involves the unsolved index-order
         # entries, so the shape test stops one slot short
         for n in range(0, order):
-            de = full.ev.coeff_x(n) - ev.coeff_x(n)
-            do = full.od.coeff_x(n) - od.coeff_x(n)
-            if trunc is not None:
-                de = de.truncate(*trunc)
-                do = do.truncate(*trunc)
+            de = _cut(full.ev.coeff_x(n) - ev.coeff_x(n), trunc)
+            do = _cut(full.od.coeff_x(n) - od.coeff_x(n), trunc)
             if de or do:
                 raise ValueError("series is not superconformal of coordinate "
                                  "shape at x^%d" % n)
@@ -239,34 +227,125 @@ def e_inf_inv(H, idxcap, trunc, check=True):
     """Recover (A0, M0) from a negative-index exponential map.
 
     H must be of the shape exp(sum(A0_j L_{-j} + M0_{j-1/2} G_{-j+1/2}))(x,phi)
-    up to the truncation; the data is read off the pure-x coefficients at
-    x^(1-j) triangularly in j.
+    up to the truncation.  ``_read_off`` solves M0_{j-1/2} off the pure-x
+    coefficient of the odd component at x^(1-j), then A0_j off that of the
+    even component, for j = 1..idxcap, with the weights running downward;
+    the slices it builds are exact at every degree read, so no lower window
+    is needed.  The highest degree read is x^0, so H must be exact through
+    it (else WindowError).  With ``check`` the phi-parts at x^0 .. x^(1-idxcap),
+    which the read-off does not use, must match those slices too (else
+    ValueError).
     """
-    ev, od = H.ev, H.od
-    A0, M0 = {}, {}
-    floor = -(idxcap + 2)
-    for j in range(1, idxcap + 1):
-        cur = inf_exp_map(A0, M0, trunc, H.width, H.evar, H.ovar,
-                          xfloor=floor)
-        res_e = ev.f_coeff(1 - j) - cur.ev.f_coeff(1 - j)
-        res_o = od.f_coeff(1 - j) - cur.od.f_coeff(1 - j)
-        if trunc is not None:
-            res_e = res_e.truncate(*trunc)
-            res_o = res_o.truncate(*trunc)
-        if res_e:
-            A0[j] = -res_e
-        if res_o:
-            M0[2 * j - 1] = -res_o
+    for comp in (H.ev, H.od):
+        comp.require_window(0)
+    res, sl = _read_off(H, range(-1, -2 * idxcap - 1, -1), trunc)
+    A0 = {-s // 2: -v for s, v in res.items() if s % 2 == 0}
+    M0 = {-s: -v for s, v in res.items() if s % 2}
     if check:
-        cur = inf_exp_map(A0, M0, trunc, H.width, H.evar, H.ovar,
-                          xfloor=floor)
-        for j in range(1, idxcap + 1):
-            de = cur.ev.f_coeff(1 - j) - ev.f_coeff(1 - j)
-            do = cur.od.f_coeff(1 - j) - od.f_coeff(1 - j)
-            if trunc is not None:
-                de = de.truncate(*trunc)
-                do = do.truncate(*trunc)
-            if de or do:
-                raise ValueError("map is not of negative-index exponential "
-                                 "shape at degree %d" % (1 - j))
+        for k, comp in enumerate((H.ev, H.od)):
+            for n in range(0, -idxcap, -1):
+                got = sl.slice(k, 2 * n + 1).g_coeff(n)
+                if _cut(comp.g_coeff(n) - got, trunc):
+                    raise ValueError("map is not of negative-index "
+                                     "exponential shape at degree %d" % n)
     return InfCoordData(A0, M0)
+
+
+def _cut(el, trunc):
+    return el if trunc is None else el.truncate(*trunc)
+
+
+class _ExpSlices:
+    """exp(-sum_s c_s X_s) applied to (x, phi), kept by doubled weight.
+
+    X_s is L_{s/2} for even s and G_{s/2} for odd s; it moves the doubled
+    weight 2m + e of x^m phi^e by s.  So the weight-w slice of the k-th term
+    of the exponential is
+
+        T_k[w] = -(1/k) sum_s c_s X_s(T_{k-1}[w - s]),
+
+    cut by ``trunc`` as ``exp_ns_terms`` cuts each term.  Component 0 starts
+    from x (weight 2), component 1 from phi (weight 1); ``step`` is the
+    direction (+1 or -1) in which every s, hence every weight, runs.
+    """
+
+    def __init__(self, H, trunc, step):
+        self.evar, self.ovar, self.width = H.evar, H.ovar, H.width
+        self.trunc = trunc
+        self.step = step
+        self.terms = []
+        self.w0 = (2, 1)
+        # per component: weight -> [T_0[w], T_1[w], ...]
+        self.sl = ({2: [GE.evar(H.evar, 1, H.width)]},
+                   {1: [GE.ovar(H.ovar, H.width)]})
+        self.top = [2, 1]
+
+    def _term(self, c, src, s):
+        """-c X_s(src)."""
+        d = SuperSeries(src, None, self.evar, self.ovar).apply_derivation(s)
+        return -(c * d.el)
+
+    def extend(self, comp, w):
+        """Build the slices of component ``comp`` through weight w."""
+        sl, w0, step = self.sl[comp], self.w0[comp], self.step
+        while self.top[comp] != w:
+            v = self.top[comp] + step
+            col = [GE.zero(self.width)]
+            for k in range(1, (v - w0) * step + 1):
+                acc = GE.zero(self.width)
+                for s, c in self.terms:
+                    src = sl.get(v - s)
+                    if src is not None and k - 1 < len(src) and src[k - 1]:
+                        acc = acc + self._term(c, src[k - 1], s)
+                if k > 1 and acc:
+                    acc = acc * GQ(Fraction(1, k))
+                col.append(_cut(acc, self.trunc))
+            sl[v] = col
+            self.top[comp] = v
+
+    def slice(self, comp, w):
+        """The weight-w slice of component ``comp``, as a series."""
+        out = GE.zero(self.width)
+        for t in self.sl[comp].get(w, ()):
+            out = out + t
+        return SuperSeries(out, None, self.evar, self.ovar)
+
+    def add(self, s, c):
+        """Add the term c X_s.  Every s added later moves weights at least
+        as far, so on a slice already built c reaches only the first-order
+        term, at weight w0 + s."""
+        self.terms.append((s, c))
+        for comp in (0, 1):
+            w = self.w0[comp] + s
+            col = self.sl[comp].get(w)
+            if col is not None:
+                col[1] = col[1] + _cut(self._term(c, self.sl[comp][
+                    self.w0[comp]][0], s), self.trunc)
+
+
+def _read_off(H, slots, trunc, scale=(None, None)):
+    """Solve exp(-sum_s c_s X_s) . (x, phi) = H slot by slot.
+
+    ``slots`` lists the doubled indices s in order of |s|.  The term
+    -c_s X_s first reaches component s % 2 at weight w0 + s, a pure-x
+    coefficient, and only at first order: -c_s X_s(x) = c_s x^(1+s/2) and
+    -c_s X_s(phi) = c_s x^((s+1)/2).  So c_s is the residual there: H's
+    coefficient (times ``scale`` of that component when given) less the
+    slice built from the earlier slots.  Returns ({s: c_s} for the nonzero
+    c_s, the slices), which then hold the exponential of the solved terms.
+    """
+    step = -1 if slots and slots[0] < 0 else 1
+    sl = _ExpSlices(H, trunc, step)
+    res = {}
+    for s in slots:
+        comp = s % 2
+        w = sl.w0[comp] + s
+        sl.extend(comp, w)
+        h = (H.ev, H.od)[comp].f_coeff(w // 2)
+        if scale[comp] is not None:
+            h = scale[comp] * h
+        r = _cut(h - sl.slice(comp, w).f_coeff(w // 2), trunc)
+        if r:
+            res[s] = r
+            sl.add(s, r)
+    return res, sl

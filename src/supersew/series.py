@@ -13,6 +13,7 @@ negative powers expanded in positive powers of the perturbation around an
 invertible leading monomial.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .scalars import GQ
@@ -207,22 +208,55 @@ class SuperSeries:
         G_(j-1/2)= -x^j (d/dphi - phi d/dx)
 
         These satisfy the Neveu-Schwarz relations with zero central term.
+        Each monomial c x^m phi^e goes to at most one monomial, so the pass
+        costs at most one scalar multiply per term.  With p the number of
+        odd ids sorting before phi:
+
+            L_j      : c x^m phi^e -> -(m + e (j+1)/2) c x^(m+j) phi^e
+            G_(j-1/2): c x^m phi   -> -(-1)^p c x^(m+j)
+                       c x^m       -> (-1)^p m c phi x^(m+j-1)
         """
-        w = self.el.width
-        ph = GE.ovar(self.ovar, w)
+        xv, ph = self.evar, self.ovar
+        t = {}
         if idx2 % 2 == 0:
             j = idx2 // 2
-            el = -(GE.evar(self.evar, j + 1, w) * self.el.diff_even(self.evar)
-                   + GQ(Fraction(j + 1, 2))
-                   * GE.evar(self.evar, j, w) * ph * self.el.diff_odd(self.ovar))
+            for (evens, odds), c in self.el.t.items():
+                m, rest = _split_x(evens, xv)
+                f2 = 2 * m + (j + 1 if ph in odds else 0)
+                if f2:
+                    t[(_with_x(rest, xv, m + j), odds)] = \
+                        c * (-(f2 // 2) if f2 % 2 == 0 else GQ(Fraction(-f2, 2)))
         else:
             j = (idx2 + 1) // 2
-            el = -(GE.evar(self.evar, j, w)
-                   * (self.el.diff_odd(self.ovar)
-                      - ph * self.el.diff_even(self.evar)))
+            for (evens, odds), c in self.el.t.items():
+                m, rest = _split_x(evens, xv)
+                if ph in odds:
+                    p = odds.index(ph)
+                    t[(_with_x(rest, xv, m + j), odds[:p] + odds[p + 1:])] = \
+                        c if p & 1 else -c
+                elif m:
+                    p = bisect_left(odds, ph)
+                    t[(_with_x(rest, xv, m + j - 1),
+                       odds[:p] + (ph,) + odds[p:])] = c * (-m if p & 1 else m)
         # both L_j and G_{j-1/2} shift x-degrees by j
         nm = None if self.nmax is None else self.nmax + (idx2 + 1) // 2
-        return SuperSeries(el, nm, self.evar, self.ovar)
+        return SuperSeries(GE(self.el.width, t), nm, self.evar, self.ovar)
+
+
+def _split_x(evens, xv):
+    """(exponent of xv, the other even factors) of a sorted evens tuple."""
+    for i, (name, e) in enumerate(evens):
+        if name == xv:
+            return e, evens[:i] + evens[i + 1:]
+    return 0, evens
+
+
+def _with_x(rest, xv, e):
+    """Put xv**e back into a sorted evens tuple that lacks xv."""
+    if not e:
+        return rest
+    i = bisect_left(rest, (xv,))
+    return rest[:i] + ((xv, e),) + rest[i:]
 
 
 def apply_ns_terms(series, terms):

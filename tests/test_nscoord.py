@@ -141,3 +141,152 @@ def test_inf_exp_map_round_trip():
     hd = inf_exp_map(inf.A, inf.M, trunc, width=W)
     back = e_inf_inv(hd, idxcap=9, trunc=trunc)
     assert back.A == inf.A and back.M == inf.M
+
+
+def test_e_inf_inv_past_upper_window_raises_window_error():
+    # A0_1 is read at x^0, which a window ending at x^-1 does not hold
+    trunc = ({"v": 1}, 3)
+    v = GE.evar("v", 1, W)
+    H = inf_exp_map({1: v, 2: 2 * v}, {3: v * z(2)}, trunc,
+                    width=W).truncate_x(-1)
+    for check in (True, False):
+        with pytest.raises(WindowError):
+            e_inf_inv(H, idxcap=9, trunc=trunc, check=check)
+
+
+# -- the per-degree read-offs that rebuild the exponential at every degree,
+#    kept as the reference for the one-pass solver -------------------------
+
+def e_hat_inv_by_rebuilds(H, order, trunc=None):
+    ev, od = H.ev, H.od
+    ai = od.g_coeff(0).inverse(trunc)
+    a2i = ai * ai
+    A, M = {}, {}
+    for n in range(1, order + 1):
+        cur = e_tilde(A, M, order=n, trunc=trunc, width=H.width)
+        res_e = a2i * ev.f_coeff(n) - cur.ev.f_coeff(n)
+        if trunc is not None:
+            res_e = res_e.truncate(*trunc)
+        if res_e:
+            assert n > 1
+            A[n - 1] = res_e
+            cur = e_tilde(A, M, order=n, trunc=trunc, width=H.width)
+        res_o = ai * od.f_coeff(n) - cur.od.f_coeff(n)
+        if trunc is not None:
+            res_o = res_o.truncate(*trunc)
+        if res_o:
+            M[2 * n - 1] = res_o
+    return CoordData(od.g_coeff(0), A, M)
+
+
+def e_inf_inv_by_rebuilds(H, idxcap, trunc):
+    ev, od = H.ev, H.od
+    A0, M0 = {}, {}
+    for j in range(1, idxcap + 1):
+        cur = inf_exp_map(A0, M0, trunc, H.width, xfloor=-(idxcap + 2))
+        res_e = ev.f_coeff(1 - j) - cur.ev.f_coeff(1 - j)
+        res_o = od.f_coeff(1 - j) - cur.od.f_coeff(1 - j)
+        if trunc is not None:
+            res_e = res_e.truncate(*trunc)
+            res_o = res_o.truncate(*trunc)
+        if res_e:
+            A0[j] = -res_e
+        if res_o:
+            M0[2 * j - 1] = -res_o
+    return InfCoordData(A0, M0)
+
+
+def test_e_hat_inv_matches_per_degree_rebuilds():
+    rng = random.Random(29)
+    v = GE.evar("v", 1, W)
+    cases = [(random_data(rng), None) for _ in range(6)]
+    # A_{n-1} beside M_{1/2}: their cross term reaches the odd slot at x^n
+    for n in (2, 3, 4):
+        d = random_data(rng)
+        A = dict(d.A)
+        A.setdefault(n - 1, GE.scalar(2, W))
+        cases.append((CoordData(d.asqrt, A, {**d.M, 1: z(5) - z(6)}), None))
+    # a graded truncation: entries carry the marker v, kept through v^2
+    for _ in range(4):
+        d = random_data(rng).scale_marker("v")
+        cases.append((CoordData(d.asqrt + v * z(7) * z(8), d.A, d.M),
+                      ({"v": 1}, 2)))
+    for d, trunc in cases:
+        order = 2 * d.max_index() + 3
+        H = e_hat(d, order=order + 1, trunc=trunc)
+        want = e_hat_inv_by_rebuilds(H, order, trunc)
+        assert e_hat_inv(H, order, trunc) == want
+        assert e_hat_inv(H, order, trunc, check=False) == want
+        assert want == d
+
+
+def test_e_inf_inv_matches_per_degree_rebuilds():
+    rng = random.Random(31)
+    trunc = ({"v": 1}, 3)
+    v = GE.evar("v", 1, W)
+    for _ in range(8):
+        A = {j: v * (GE.scalar(rng.randrange(-2, 3), W)
+                     + rng.randrange(-1, 2) * z(3) * z(4))
+             for j in rng.sample(range(1, 5), rng.randrange(1, 3))}
+        M = {2 * j - 1: v * (rng.randrange(-2, 3) * z(5)
+                             + rng.randrange(-1, 2) * z(6))
+             for j in rng.sample(range(1, 5), rng.randrange(1, 3))}
+        hd = inf_exp_map(A, M, trunc, width=W)
+        want = e_inf_inv_by_rebuilds(hd, 6, trunc)
+        assert e_inf_inv(hd, idxcap=6, trunc=trunc) == want
+        assert want == InfCoordData(A, M)
+
+
+def test_e_inf_inv_reads_a_shift_component():
+    # A0_1 with a body is a shift: exact only above a lower window there,
+    # while the read-off builds just the degrees it reads
+    trunc = ({"v": 1}, 2)
+    v = GE.evar("v", 1, W)
+    A = {1: GE.one(W) + v * z(1) * z(2), 2: v}
+    M = {1: v * z(3)}
+    hd = inf_exp_map(A, M, trunc, width=W, xfloor=-7)
+    want = e_inf_inv_by_rebuilds(hd, 4, trunc)
+    assert want == InfCoordData(A, M)
+    assert e_inf_inv(hd, idxcap=4, trunc=trunc) == want
+
+
+def test_e_inf_inv_shape_check_reads_phi_parts():
+    trunc = ({"v": 1}, 3)
+    v = GE.evar("v", 1, W)
+    hd = inf_exp_map({1: v}, {3: v * z(2)}, trunc, width=W)
+    stray = SuperSeries(v * z(1) * GE.ovar(("ph", 0), W)
+                        * GE.evar("x", -2, W))
+    bad = SuperMap(hd.ev + stray, hd.od)
+    with pytest.raises(ValueError):
+        e_inf_inv(bad, idxcap=4, trunc=trunc)
+    assert e_inf_inv(bad, idxcap=4, trunc=trunc, check=False) == \
+        InfCoordData({1: v}, {3: v * z(2)})
+
+
+def _count_calls(monkeypatch, name):
+    from supersew import nscoord
+    calls = []
+    fn = getattr(nscoord, name)
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return fn(*args, **kw)
+    monkeypatch.setattr(nscoord, name, counted)
+    return calls
+
+
+def test_read_offs_build_no_exponential_per_degree(monkeypatch):
+    rng = random.Random(37)
+    d = random_data(rng)
+    H = e_hat(d, order=9)
+    trunc = ({"v": 1}, 3)
+    v = GE.evar("v", 1, W)
+    hd = inf_exp_map({1: v, 2: v}, {1: v * z(5), 3: v * z(6)}, trunc,
+                     width=W)
+    tilde = _count_calls(monkeypatch, "e_tilde")
+    inf = _count_calls(monkeypatch, "inf_exp_map")
+    assert e_hat_inv(H, order=8) == d
+    assert len(tilde) == 1  # the shape check's e_hat
+    e_inf_inv(hd, idxcap=9, trunc=trunc)
+    assert len(inf) <= 1
+    assert len(tilde) == 1

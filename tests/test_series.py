@@ -132,6 +132,79 @@ def bracket_on(series, i2, j2):
     return si(sj(series)) - sign * sj(si(series))
 
 
+def derivation_by_products(s, idx2):
+    """L_j and G_{j-1/2} from their defining formulas, through general
+    element products: the reference for the one-pass derivation."""
+    w = s.el.width
+    ph = GE.ovar(s.ovar, w)
+    if idx2 % 2 == 0:
+        j = idx2 // 2
+        el = -(GE.evar(s.evar, j + 1, w) * s.el.diff_even(s.evar)
+               + GQ(Fraction(j + 1, 2))
+               * GE.evar(s.evar, j, w) * ph * s.el.diff_odd(s.ovar))
+    else:
+        j = (idx2 + 1) // 2
+        el = -(GE.evar(s.evar, j, w)
+               * (s.el.diff_odd(s.ovar) - ph * s.el.diff_even(s.evar)))
+    nm = None if s.nmax is None else s.nmax + (idx2 + 1) // 2
+    return SuperSeries(el, nm, s.evar, s.ovar)
+
+
+# odd ids on both sides of PHI = ("ph", 0), even markers on both sides of "x"
+ODD_IDS = [("a", 1), ("b", 0), ("z", 1), ("z", 2), ("z", 3)]
+EVEN_MARKERS = ["ah", "g", "v", "y"]
+
+
+def random_marked_series(rng):
+    t = {}
+    for _ in range(rng.randrange(0, 8)):
+        evens = {n: rng.randrange(1, 3) for n in EVEN_MARKERS
+                 if rng.random() < 0.3}
+        m = rng.randrange(-3, 5)
+        if m:
+            evens["x"] = m
+        odds = {o for o in ODD_IDS if rng.random() < 0.3}
+        if rng.random() < 0.5:
+            odds.add(PHI)
+        val = GQ(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                 rng.randrange(-2, 3))
+        if val:
+            t[(tuple(sorted(evens.items())), tuple(sorted(odds)))] = val
+    nmax = None if rng.random() < 0.5 else rng.randrange(-2, 6)
+    return SuperSeries(GE(W, t), nmax)
+
+
+def test_derivation_pass_matches_product_formula():
+    rng = random.Random(19)
+    for _ in range(400):
+        s = random_marked_series(rng)
+        for idx2 in range(-5, 8):
+            got = s.apply_derivation(idx2)
+            want = derivation_by_products(s, idx2)
+            assert got.el.t == want.el.t and got.nmax == want.nmax, (s, idx2)
+
+
+def test_ns_bracket_table():
+    # [L_m, L_n] = (m-n) L_{m+n}, [L_m, G_r] = (m/2 - r) G_{m+r} and
+    # {G_r, G_s} = 2 L_{r+s}, over every doubled index pair in -4..4
+    rng = random.Random(23)
+    for _ in range(20):
+        h = random_marked_series(rng)
+        for i2 in range(-4, 5):
+            for j2 in range(-4, 5):
+                if i2 % 2 == 0 and j2 % 2 == 0:
+                    c = Fraction(i2 - j2, 2)
+                elif i2 % 2 == 0:
+                    c = Fraction(i2 - 2 * j2, 4)
+                elif j2 % 2 == 0:
+                    c = -Fraction(j2 - 2 * i2, 4)
+                else:
+                    c = Fraction(2)
+                lhs = bracket_on(h, i2, j2)
+                rhs = c * h.apply_derivation(i2 + j2)
+                assert lhs.el == rhs.el, (h, i2, j2)
+
+
 def test_virasoro_bracket_L1_Lm1():
     x = SuperSeries.variable(W)
     lhs = bracket_on(x, 2, -2)
