@@ -261,9 +261,6 @@ class GrassmannElement:
         t = {k: (-v if len(k[1]) & 1 else v) for k, v in self.t.items()}
         return GrassmannElement(self.width, t)
 
-    def coeff(self, key):
-        return self.t.get(key, GQ(0))
-
     # -- truncation --------------------------------------------------------
 
     def truncate(self, weights, cap):

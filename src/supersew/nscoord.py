@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .grassmann import GrassmannElement as GE
 from .scalars import GQ
-from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_terms
+from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_map
 
 
 class CoordData:
@@ -84,10 +84,6 @@ class InfCoordData:
         self.A = {j: v for j, v in (A or {}).items() if v}
         self.M = {r2: v for r2, v in (M or {}).items() if v}
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def max_index(self):
         idx = [j for j in self.A] + [(r2 + 1) // 2 for r2 in self.M]
         return max(idx) if idx else 0
@@ -114,19 +110,16 @@ class InfCoordData:
         return "InfCoordData(A=%r, M=%r)" % (self.A, self.M)
 
 
-def _lower_terms(A, M, sign):
-    terms = [(2 * j, sign * v) for j, v in A.items()]
-    terms += [(r2, sign * v) for r2, v in M.items()]
-    return terms
+def ns_terms(A, M, negate=False, raising=False):
+    """The (doubled index, coefficient) list of sum_j (A_j L_{+-j} +
+    M_{j-1/2} G_{+-(j-1/2)}), the lowering generators (positive index)
+    unless ``raising``, every coefficient negated when ``negate``."""
+    side = -1 if raising else 1
+    return ([(side * 2 * j, -v if negate else v) for j, v in A.items()]
+            + [(side * r2, -v if negate else v) for r2, v in M.items()])
 
 
-def _raise_terms(A, M, sign):
-    terms = [(-2 * j, sign * v) for j, v in A.items()]
-    terms += [(-r2, sign * v) for r2, v in M.items()]
-    return terms
-
-
-def e_tilde(A, M, order=None, trunc=None, width=0, evar=XVAR, ovar=PHI):
+def e_tilde(A, M, order=None, trunc=None, width=0):
     """exp(-sum(A_j L_j + M_{j-1/2} G_{j-1/2})) applied to (x, phi).
 
     ``order`` is the exactness window of both components: they are exact
@@ -135,19 +128,17 @@ def e_tilde(A, M, order=None, trunc=None, width=0, evar=XVAR, ovar=PHI):
     """
     wd = max([width] + [v.width for v in A.values()]
              + [v.width for v in M.values()])
-    ident = SuperMap.identity(wd, evar, ovar)
-    terms = _lower_terms(A, M, -1)
-    return SuperMap(exp_ns_terms(ident.ev, terms, xcap=order, trunc=trunc),
-                    exp_ns_terms(ident.od, terms, xcap=order, trunc=trunc))
+    return exp_ns_map(ns_terms(A, M, negate=True), wd, xcap=order,
+                      trunc=trunc)
 
 
-def e_hat(d, order=None, trunc=None, evar=XVAR, ovar=PHI):
+def e_hat(d, order=None, trunc=None):
     """The series of a coordinate datum: dilation after e_tilde.
 
     ``order`` is the exactness window, as in ``e_tilde``; ``e_hat_inv``
     raises WindowError when asked to read above it.
     """
-    base = e_tilde(d.A, d.M, order, trunc, d.asqrt.width, evar, ovar)
+    base = e_tilde(d.A, d.M, order, trunc, d.asqrt.width)
     a = d.asqrt
     return SuperMap(base.ev.clone(el=a * a * base.ev.el),
                     base.od.clone(el=a * base.od.el))
@@ -181,8 +172,7 @@ def e_hat_inv(H, order, trunc=None, check=True):
     A = {s // 2: v for s, v in res.items() if s % 2 == 0}
     M = {s: v for s, v in res.items() if s % 2}
     if check:
-        full = e_hat(CoordData(asqrt, A, M), order=order, trunc=trunc,
-                     evar=H.evar, ovar=H.ovar)
+        full = e_hat(CoordData(asqrt, A, M), order=order, trunc=trunc)
         # the phi-part at x^order already involves the unsolved index-order
         # entries, so the shape test stops one slot short
         for n in range(0, order):
@@ -201,7 +191,7 @@ def e_tilde_inv(H, order, trunc=None, check=True):
     return d.A, d.M
 
 
-def inf_exp_map(A0, M0, trunc, width=0, evar=XVAR, ovar=PHI, xfloor=None):
+def inf_exp_map(A0, M0, trunc, width=0, xfloor=None):
     """exp(+sum(A0_j L_{-j} + M0_{j-1/2} G_{-j+1/2})) applied to (x, phi).
 
     A lower window ``xfloor`` makes the map finite even for data whose first
@@ -209,17 +199,15 @@ def inf_exp_map(A0, M0, trunc, width=0, evar=XVAR, ovar=PHI, xfloor=None):
     xfloor are exact."""
     wd = max([width] + [v.width for v in A0.values()]
              + [v.width for v in M0.values()])
-    ident = SuperMap.identity(wd, evar, ovar)
-    terms = _raise_terms(A0, M0, +1)
-    return SuperMap(exp_ns_terms(ident.ev, terms, trunc=trunc, xfloor=xfloor),
-                    exp_ns_terms(ident.od, terms, trunc=trunc, xfloor=xfloor))
+    return exp_ns_map(ns_terms(A0, M0, raising=True), wd, trunc=trunc,
+                      xfloor=xfloor)
 
 
-def assemble_inf(inf, trunc, wcap, width=0, evar=XVAR, ovar=PHI):
+def assemble_inf(inf, trunc, wcap, width=0):
     """Local coordinate at infinity: (1/x, i phi/x) after the negative-index
     exponential map.  Known exactly through x-degree <= wcap."""
-    hd = inf_exp_map(inf.A, inf.M, trunc, width, evar, ovar)
-    inv = SuperMap.inversion(hd.width, evar, ovar)
+    hd = inf_exp_map(inf.A, inf.M, trunc, width)
+    inv = SuperMap.inversion(hd.width)
     return hd.then(inv, wcap=wcap, trunc=trunc)
 
 
@@ -270,19 +258,19 @@ class _ExpSlices:
     """
 
     def __init__(self, H, trunc, step):
-        self.evar, self.ovar, self.width = H.evar, H.ovar, H.width
+        self.width = H.width
         self.trunc = trunc
         self.step = step
         self.terms = []
         self.w0 = (2, 1)
         # per component: weight -> [T_0[w], T_1[w], ...]
-        self.sl = ({2: [GE.evar(H.evar, 1, H.width)]},
-                   {1: [GE.ovar(H.ovar, H.width)]})
+        self.sl = ({2: [GE.evar(XVAR, 1, H.width)]},
+                   {1: [GE.ovar(PHI, H.width)]})
         self.top = [2, 1]
 
     def _term(self, c, src, s):
         """-c X_s(src)."""
-        d = SuperSeries(src, None, self.evar, self.ovar).apply_derivation(s)
+        d = SuperSeries(src).apply_derivation(s)
         return -(c * d.el)
 
     def extend(self, comp, w):
@@ -308,7 +296,7 @@ class _ExpSlices:
         out = GE.zero(self.width)
         for t in self.sl[comp].get(w, ()):
             out = out + t
-        return SuperSeries(out, None, self.evar, self.ovar)
+        return SuperSeries(out)
 
     def add(self, s, c):
         """Add the term c X_s.  Every s added later moves weights at least

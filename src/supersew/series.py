@@ -1,4 +1,9 @@
-"""Truncated formal Laurent superfunctions in one even and one odd variable.
+"""Truncated formal Laurent superfunctions in the N=1 coordinate (x, phi).
+
+The series variables are fixed: the even variable is ``XVAR`` and the odd
+one is ``PHI``; every series, map and coordinate datum uses exactly these.
+This module is the only one that reads or writes x's place in a monomial
+key (``_split_x``, ``_with_x``).
 
 A ``SuperSeries`` is a single superfunction f(x) + phi*g(x), stored as one
 sparse supercommutative element in the series variables, together with a
@@ -33,60 +38,54 @@ def _min_none(*vals):
 
 
 class SuperSeries:
-    __slots__ = ("el", "nmax", "evar", "ovar", "width")
+    __slots__ = ("el", "nmax", "width")
 
-    def __init__(self, el, nmax=None, evar=XVAR, ovar=PHI):
+    def __init__(self, el, nmax=None):
         self.el = el
         self.nmax = nmax
-        self.evar = evar
-        self.ovar = ovar
         self.width = el.width
         if nmax is not None:
             self._prune()
 
     def _prune(self):
-        ev = self.evar
-        t = {k: v for k, v in self.el.t.items()
-             if dict(k[0]).get(ev, 0) <= self.nmax}
+        t = {k: v for k, v in self.el.t.items() if self.xexp(k) <= self.nmax}
         self.el = GE(self.el.width, t)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def variable(cls, width=0, evar=XVAR, ovar=PHI):
-        return cls(GE.evar(evar, 1, width), None, evar, ovar)
+    def variable(cls, width=0):
+        return cls(GE.evar(XVAR, 1, width))
 
     @classmethod
-    def odd_variable(cls, width=0, evar=XVAR, ovar=PHI):
-        return cls(GE.ovar(ovar, width), None, evar, ovar)
+    def odd_variable(cls, width=0):
+        return cls(GE.ovar(PHI, width))
 
     @classmethod
-    def constant(cls, value, width=0, evar=XVAR, ovar=PHI):
-        el = value if isinstance(value, GE) else GE.scalar(value, width)
-        return cls(el, None, evar, ovar)
-
-    @classmethod
-    def from_tables(cls, f, g, width=0, nmax=None, evar=XVAR, ovar=PHI):
+    def from_tables(cls, f, g, width=0, nmax=None):
         """Build f(x) + phi*g(x) from {exponent: coefficient} tables."""
         el = GE.zero(width)
         for n, c in f.items():
             cel = c if isinstance(c, GE) else GE.scalar(c, width)
-            el = el + GE.evar(evar, n, width) * cel
-        ph = GE.ovar(ovar, width)
+            el = el + GE.evar(XVAR, n, width) * cel
+        ph = GE.ovar(PHI, width)
         for n, c in g.items():
             cel = c if isinstance(c, GE) else GE.scalar(c, width)
-            el = el + ph * GE.evar(evar, n, width) * cel
-        return cls(el, nmax, evar, ovar)
+            el = el + ph * GE.evar(XVAR, n, width) * cel
+        return cls(el, nmax)
 
     def clone(self, el=None, nmax="keep"):
         return SuperSeries(el if el is not None else self.el,
-                           self.nmax if nmax == "keep" else nmax,
-                           self.evar, self.ovar)
+                           self.nmax if nmax == "keep" else nmax)
 
     # -- inspection --------------------------------------------------------
 
-    def xexp(self, key):
-        return dict(key[0]).get(self.evar, 0)
+    @staticmethod
+    def xexp(key):
+        for name, e in key[0]:
+            if name == XVAR:
+                return e
+        return 0
 
     def support_min(self):
         if not self.el.t:
@@ -102,22 +101,20 @@ class SuperSeries:
         """Full coefficient of x**n (may still involve the odd variable)."""
         t = {}
         for (evens, odds), v in self.el.t.items():
-            d = dict(evens)
-            if d.get(self.evar, 0) != n:
-                continue
-            d.pop(self.evar, None)
-            t[(tuple(sorted(d.items())), odds)] = v
+            m, rest = _split_x(evens)
+            if m == n:
+                t[(rest, odds)] = v
         return GE(self.el.width, t)
 
     def f_coeff(self, n):
         """Coefficient of x**n in the phi-free part."""
         c = self.coeff_x(n)
-        t = {k: v for k, v in c.t.items() if self.ovar not in k[1]}
+        t = {k: v for k, v in c.t.items() if PHI not in k[1]}
         return GE(c.width, t)
 
     def g_coeff(self, n):
         """Coefficient of phi*x**n (phi stripped, left-derivative sign)."""
-        return self.coeff_x(n).diff_odd(self.ovar)
+        return self.coeff_x(n).diff_odd(PHI)
 
     def known(self, n):
         return self.nmax is None or n <= self.nmax
@@ -132,9 +129,8 @@ class SuperSeries:
     def __add__(self, other):
         if isinstance(other, SuperSeries):
             return SuperSeries(self.el + other.el,
-                               _min_none(self.nmax, other.nmax),
-                               self.evar, self.ovar)
-        return SuperSeries(self.el + other, self.nmax, self.evar, self.ovar)
+                               _min_none(self.nmax, other.nmax))
+        return SuperSeries(self.el + other, self.nmax)
 
     __radd__ = __add__
 
@@ -155,8 +151,7 @@ class SuperSeries:
             if other.nmax is not None:
                 s_min = self.support_min()
                 nm2 = None if s_min is None else other.nmax + s_min
-            return SuperSeries(self.el * other.el, _min_none(nm, nm2),
-                               self.evar, self.ovar)
+            return SuperSeries(self.el * other.el, _min_none(nm, nm2))
         return self.clone(el=self.el * other)
 
     def __rmul__(self, other):
@@ -180,26 +175,28 @@ class SuperSeries:
             nm = None  # nothing dropped from an exact series
         else:
             nm = cap if self.nmax is None else min(self.nmax, cap)
-        return SuperSeries(GE(self.el.width, t), nm, self.evar, self.ovar)
+        return SuperSeries(GE(self.el.width, t), nm)
 
-    def map_el(self, fn, shift=0):
-        nm = None if self.nmax is None else self.nmax + shift
-        return SuperSeries(fn(self.el), nm, self.evar, self.ovar)
+    def flip_x(self):
+        """Substitute x -> 1/x, an exact monomial swap (exact everywhere)."""
+        t = {}
+        for (evens, odds), v in self.el.t.items():
+            m, rest = _split_x(evens)
+            t[(_with_x(rest, -m), odds)] = v
+        return SuperSeries(GE(self.el.width, t))
 
     # -- calculus ----------------------------------------------------------
 
     def dx(self):
-        return self.map_el(lambda e: e.diff_even(self.evar), shift=-1)
-
-    def dphi(self):
-        return self.map_el(lambda e: e.diff_odd(self.ovar))
+        nm = None if self.nmax is None else self.nmax - 1
+        return SuperSeries(self.el.diff_even(XVAR), nm)
 
     def D(self):
         """The odd superderivation d/dphi + phi d/dx."""
-        ph = GE.ovar(self.ovar, self.el.width)
-        el = self.el.diff_odd(self.ovar) + ph * self.el.diff_even(self.evar)
+        ph = GE.ovar(PHI, self.el.width)
+        el = self.el.diff_odd(PHI) + ph * self.el.diff_even(XVAR)
         nm = None if self.nmax is None else self.nmax - 1
-        return SuperSeries(el, nm, self.evar, self.ovar)
+        return SuperSeries(el, nm)
 
     def apply_derivation(self, idx2):
         """Apply L_j (idx2 = 2j even) or G_{j-1/2} (idx2 = 2j-1 odd).
@@ -216,47 +213,46 @@ class SuperSeries:
             G_(j-1/2): c x^m phi   -> -(-1)^p c x^(m+j)
                        c x^m       -> (-1)^p m c phi x^(m+j-1)
         """
-        xv, ph = self.evar, self.ovar
         t = {}
         if idx2 % 2 == 0:
             j = idx2 // 2
             for (evens, odds), c in self.el.t.items():
-                m, rest = _split_x(evens, xv)
-                f2 = 2 * m + (j + 1 if ph in odds else 0)
+                m, rest = _split_x(evens)
+                f2 = 2 * m + (j + 1 if PHI in odds else 0)
                 if f2:
-                    t[(_with_x(rest, xv, m + j), odds)] = \
+                    t[(_with_x(rest, m + j), odds)] = \
                         c * (-(f2 // 2) if f2 % 2 == 0 else GQ(Fraction(-f2, 2)))
         else:
             j = (idx2 + 1) // 2
             for (evens, odds), c in self.el.t.items():
-                m, rest = _split_x(evens, xv)
-                if ph in odds:
-                    p = odds.index(ph)
-                    t[(_with_x(rest, xv, m + j), odds[:p] + odds[p + 1:])] = \
+                m, rest = _split_x(evens)
+                if PHI in odds:
+                    p = odds.index(PHI)
+                    t[(_with_x(rest, m + j), odds[:p] + odds[p + 1:])] = \
                         c if p & 1 else -c
                 elif m:
-                    p = bisect_left(odds, ph)
-                    t[(_with_x(rest, xv, m + j - 1),
-                       odds[:p] + (ph,) + odds[p:])] = c * (-m if p & 1 else m)
+                    p = bisect_left(odds, PHI)
+                    t[(_with_x(rest, m + j - 1),
+                       odds[:p] + (PHI,) + odds[p:])] = c * (-m if p & 1 else m)
         # both L_j and G_{j-1/2} shift x-degrees by j
         nm = None if self.nmax is None else self.nmax + (idx2 + 1) // 2
-        return SuperSeries(GE(self.el.width, t), nm, self.evar, self.ovar)
+        return SuperSeries(GE(self.el.width, t), nm)
 
 
-def _split_x(evens, xv):
-    """(exponent of xv, the other even factors) of a sorted evens tuple."""
+def _split_x(evens):
+    """(exponent of x, the other even factors) of a sorted evens tuple."""
     for i, (name, e) in enumerate(evens):
-        if name == xv:
+        if name == XVAR:
             return e, evens[:i] + evens[i + 1:]
     return 0, evens
 
 
-def _with_x(rest, xv, e):
-    """Put xv**e back into a sorted evens tuple that lacks xv."""
+def _with_x(rest, e):
+    """Put x**e back into a sorted evens tuple that lacks x."""
     if not e:
         return rest
-    i = bisect_left(rest, (xv,))
-    return rest[:i] + ((xv, e),) + rest[i:]
+    i = bisect_left(rest, (XVAR,))
+    return rest[:i] + ((XVAR, e),) + rest[i:]
 
 
 def apply_ns_terms(series, terms):
@@ -338,74 +334,69 @@ def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None,
     return out
 
 
+def exp_ns_map(terms, width=0, xcap=None, trunc=None, xfloor=None):
+    """exp(sum coeff * generator) applied to (x, phi): ``exp_ns_terms`` on
+    each component of the identity map."""
+    ident = SuperMap.identity(width)
+    return SuperMap(exp_ns_terms(ident.ev, terms, xcap, trunc, xfloor),
+                    exp_ns_terms(ident.od, terms, xcap, trunc, xfloor))
+
+
 class SuperMap:
     """A pair (even, odd) of SuperSeries used as a coordinate change."""
 
     __slots__ = ("ev", "od")
 
     def __init__(self, ev, od):
-        if (ev.evar, ev.ovar) != (od.evar, od.ovar):
-            raise ValueError("components must share variables")
         self.ev = ev
         self.od = od
-
-    @property
-    def evar(self):
-        return self.ev.evar
-
-    @property
-    def ovar(self):
-        return self.ev.ovar
 
     @property
     def width(self):
         return max(self.ev.width, self.od.width)
 
     @classmethod
-    def identity(cls, width=0, evar=XVAR, ovar=PHI):
-        return cls(SuperSeries.variable(width, evar, ovar),
-                   SuperSeries.odd_variable(width, evar, ovar))
+    def identity(cls, width=0):
+        return cls(SuperSeries.variable(width),
+                   SuperSeries.odd_variable(width))
 
     @classmethod
-    def dilation(cls, asq, width=None, evar=XVAR, ovar=PHI):
+    def dilation(cls, asq, width=None):
         """The map (a^2 x, a phi) of a^{-2L_0}."""
         if not isinstance(asq, GE):
             asq = GE.scalar(asq, width or 0)
         w = asq.width
-        x = GE.evar(evar, 1, w)
-        ph = GE.ovar(ovar, w)
-        return cls(SuperSeries(asq * asq * x, None, evar, ovar),
-                   SuperSeries(asq * ph, None, evar, ovar))
+        x = GE.evar(XVAR, 1, w)
+        ph = GE.ovar(PHI, w)
+        return cls(SuperSeries(asq * asq * x), SuperSeries(asq * ph))
 
     @classmethod
-    def inversion(cls, width=0, evar=XVAR, ovar=PHI):
+    def inversion(cls, width=0):
         """I(x, phi) = (1/x, i phi / x)."""
-        xinv = GE.evar(evar, -1, width)
-        ph = GE.ovar(ovar, width)
-        return cls(SuperSeries(xinv, None, evar, ovar),
-                   SuperSeries(GE.scalar(GQ(0, 1), width) * ph * xinv,
-                               None, evar, ovar))
+        xinv = GE.evar(XVAR, -1, width)
+        ph = GE.ovar(PHI, width)
+        return cls(SuperSeries(xinv),
+                   SuperSeries(GE.scalar(GQ(0, 1), width) * ph * xinv))
 
     @classmethod
-    def shift(cls, z, theta, width=None, evar=XVAR, ovar=PHI):
+    def shift(cls, z, theta, width=None):
         """s_(z,theta): (x, phi) -> (x - z - phi*theta, phi - theta)."""
         if not isinstance(z, GE):
             z = GE.scalar(z, width or 0)
         if not isinstance(theta, GE):
             theta = GE.scalar(theta, z.width)
         w = max(z.width, theta.width)
-        x = GE.evar(evar, 1, w)
-        ph = GE.ovar(ovar, w)
-        return cls(SuperSeries(x - z - ph * theta, None, evar, ovar),
-                   SuperSeries(ph - theta, None, evar, ovar))
+        x = GE.evar(XVAR, 1, w)
+        ph = GE.ovar(PHI, w)
+        return cls(SuperSeries(x - z - ph * theta), SuperSeries(ph - theta))
 
     @classmethod
-    def shift_inverse(cls, z, theta, width=None, evar=XVAR, ovar=PHI):
+    def shift_inverse(cls, z, theta, width=None):
         if not isinstance(z, GE):
             z = GE.scalar(z, width or 0)
         if not isinstance(theta, GE):
             theta = GE.scalar(theta, z.width)
-        return cls.shift(-z, -theta, width, evar, ovar)
+        return cls.shift(-z, -theta, width)
 
     def __eq__(self, other):
         if isinstance(other, SuperMap):
@@ -423,9 +414,6 @@ class SuperMap:
     def truncate(self, weights, cap):
         return SuperMap(self.ev.clone(el=self.ev.el.truncate(weights, cap)),
                         self.od.clone(el=self.od.el.truncate(weights, cap)))
-
-    def map_el(self, fn):
-        return SuperMap(self.ev.map_el(fn), self.od.map_el(fn))
 
     # -- superconformality -------------------------------------------------
 
@@ -467,13 +455,13 @@ class SuperMap:
         if trunc is not None and _cuts_sound(
                 h, trunc[0], [ev.el, od.el] + ([] if inv is None else [inv])):
             truncs = [trunc]
-        el = h.el.subs({h.evar: ev.el, h.ovar: od.el},
-                       inverses=None if inv is None else {h.evar: inv},
+        el = h.el.subs({XVAR: ev.el, PHI: od.el},
+                       inverses=None if inv is None else {XVAR: inv},
                        truncs=truncs)
         if trunc is not None:
             el = el.truncate(*trunc)
         nmax = _compose_window(h, ev, od, wcap if not inv_exact else None)
-        out = SuperSeries(el, nmax, h.evar, h.ovar)
+        out = SuperSeries(el, nmax)
         if wcap is not None:
             out = out.truncate_x(wcap)
         return out
@@ -492,8 +480,8 @@ class SuperMap:
             inv = None
             if comp.support_min() is not None and comp.support_min() < 0:
                 inv = zinv if zinv is not None else z.inverse(trunc)
-            vals.append(comp.el.subs({comp.evar: z, comp.ovar: theta},
-                                     inverses={comp.evar: inv} if inv is not None
+            vals.append(comp.el.subs({XVAR: z, PHI: theta},
+                                     inverses={XVAR: inv} if inv is not None
                                      else None))
         return vals[0], vals[1]
 
@@ -507,11 +495,10 @@ class SuperMap:
         a2i = a2.inverse(trunc)
         bi = b.inverse(trunc)
         w = self.width
-        lin_inv = SuperMap(
-            SuperSeries(a2i * GE.evar(self.evar, 1, w), None, self.evar, self.ovar),
-            SuperSeries(bi * GE.ovar(self.ovar, w), None, self.evar, self.ovar))
+        lin_inv = SuperMap(SuperSeries(a2i * GE.evar(XVAR, 1, w)),
+                           SuperSeries(bi * GE.ovar(PHI, w)))
         k = lin_inv
-        ident = SuperMap.identity(w, self.evar, self.ovar)
+        ident = SuperMap.identity(w)
         for _ in range(2 * order + 4):
             r_ev = self.compose_series(k.ev, wcap=order, trunc=trunc) - \
                 ident.ev.truncate_x(order)
@@ -532,8 +519,8 @@ class SuperMap:
         the iteration terminates at the cap.
         """
         w = self.width
-        k = SuperMap.identity(w, self.evar, self.ovar)
-        ident = SuperMap.identity(w, self.evar, self.ovar)
+        k = SuperMap.identity(w)
+        ident = SuperMap.identity(w)
         for _ in range(trunc[1] + 2):
             kk = self.then(k, trunc=trunc).truncate(*trunc)
             r_ev = kk.ev - ident.ev
@@ -560,23 +547,15 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     if not el.t:
         raise NotInvertible("zero even component")
     w = el.width
-    xv = ev.evar
-    lead = el.truncate(trunc[0], 0) if trunc is not None else el
-    if not lead.t:
+    lead = SuperSeries(el.truncate(trunc[0], 0)) if trunc is not None else ev
+    m = lead.support_min()
+    if m is None:
         raise NotInvertible("no truncation-degree-zero leading part")
-    m = min(dict(k[0]).get(xv, 0) for k in lead.t)
-    c = GE(w, {})
-    for (evens, odds), v in lead.t.items():
-        d = dict(evens)
-        if d.get(xv, 0) != m:
-            continue
-        d.pop(xv, None)
-        c = c + GE(w, {(tuple(sorted(d.items())), odds): v})
-    ci = c.inverse(trunc)
-    delta = ci * (GE.evar(xv, -m, w) * el) - GE.one(w)
+    ci = lead.coeff_x(m).inverse(trunc)
+    delta = ci * (GE.evar(XVAR, -m, w) * el) - GE.one(w)
     if not delta:
-        return GE.evar(xv, -m, w) * ci, True
-    delta_min = min(dict(k[0]).get(xv, 0) for k in delta.t)
+        return GE.evar(XVAR, -m, w) * ci, True
+    delta_min = SuperSeries(delta).support_min()
     # x-pruning is sound as long as no power of delta can lower the degree
     prune_x = wcap is not None and delta_min >= 0
     if not prune_x and trunc is None:
@@ -587,7 +566,7 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     term = GE.one(w)
     cap_iter = (bound if prune_x else 0) + \
         ((trunc[1] + 2) if trunc is not None else 0) + 40
-    xw = {xv: 1}
+    xw = {XVAR: 1}
     pruned = False
     for _ in range(cap_iter):
         term = -(term * delta)
@@ -604,7 +583,7 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     else:
         if term:
             raise WindowError("series inversion did not terminate under caps")
-    return GE.evar(xv, -m, w) * (acc * ci), not pruned
+    return GE.evar(XVAR, -m, w) * (acc * ci), not pruned
 
 
 def _cuts_sound(h, weights, substituted):
@@ -620,11 +599,10 @@ def _cuts_sound(h, weights, substituted):
         if lo is not None and lo < 0:
             return False
     for evens, odds in h.el.t:
-        kept = tuple((n, e) for n, e in evens if n != h.evar)
-        if key_weight((kept, ()), weights) < 0:
+        if key_weight((_split_x(evens)[1], ()), weights) < 0:
             return False
         if any(key_weight(((), (o,)), weights) < 0
-               for o in odds if o != h.ovar):
+               for o in odds if o != PHI):
             return False
     return True
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE, NotInvertible, ge_exp, ge_log
 from .nscoord import (CoordData, InfCoordData, e_hat, e_hat_inv, e_inf_inv,
-                      e_tilde, inf_exp_map)
+                      e_tilde, inf_exp_map, ns_terms)
 from .series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
-                     exp_ns_terms)
+                     exp_ns_map)
 
 
 class SewError(ValueError):
@@ -130,12 +130,6 @@ def _max_index(*datasets):
     return out
 
 
-def _neg_terms(A, M, sign):
-    terms = [(-2 * j, sign * v) for j, v in A.items()]
-    terms += [(-r2, sign * v) for r2, v in M.items()]
-    return terms
-
-
 def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
               width=None, finalize=True):
     """The canonical factorization coefficients of the sewing uniformizer.
@@ -172,23 +166,19 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
     ai = asqrt.inverse(trunc)
     a2i = ai * ai
 
-    ident = SuperMap.identity(w)
     h_a = e_tilde(A, M, trunc=trunc, width=w)
     h_alpha = SuperMap.dilation(asqrt)
-    terms_b = _neg_terms(B, N, -1)
-    h_b = SuperMap(exp_ns_terms(ident.ev, terms_b, trunc=trunc),
-                   exp_ns_terms(ident.od, terms_b, trunc=trunc))
+    h_b = exp_ns_map(ns_terms(B, N, negate=True, raising=True), w,
+                     trunc=trunc)
     lhs = h_a.then(h_alpha).then(h_b, trunc=trunc)
 
     psi = {}
 
     def rhs_map():
-        tminus = [(j2, c) for j2, c in psi.items() if j2 < 0 and c]
-        tplus = [(j2, c) for j2, c in psi.items() if j2 > 0 and c]
-        hm = SuperMap(exp_ns_terms(ident.ev, tminus, trunc=trunc),
-                      exp_ns_terms(ident.od, tminus, trunc=trunc))
-        hp = SuperMap(exp_ns_terms(ident.ev, tplus, trunc=trunc),
-                      exp_ns_terms(ident.od, tplus, trunc=trunc))
+        hm = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0 and c],
+                        w, trunc=trunc)
+        hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
+                        w, trunc=trunc)
         p0 = psi.get(0, GE.zero(w))
         e2 = ge_exp(-2 * p0, trunc)
         e1 = ge_exp(-p0, trunc)
@@ -263,10 +253,10 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
     mod = VermaModule(h=h, width=w)
     vh = mod.basis_vector(mod.vacuum_key())
 
-    lhs = exp_act(vh, _neg_terms(Bv, Nv, -1), trunc=trunc)
+    lhs = exp_act(vh, ns_terms(Bv, Nv, negate=True, raising=True),
+                  trunc=trunc)
     lhs = lhs.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
-    lhs = exp_act(lhs, [(2 * j, -x) for j, x in Au.items()]
-                  + [(r2, -x) for r2, x in Mu.items()], trunc=trunc)
+    lhs = exp_act(lhs, ns_terms(Au, Mu, negate=True), trunc=trunc)
 
     rhs = vh.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
     p0 = psi.get(0, GE.zero(w))
@@ -337,7 +327,7 @@ def theta1(asqrt, A, M, point, order, idxcap=None, width=None,
     ai = asqrt.inverse(trunc)
     zt, tht = k.eval_at(z, th, trunc=trunc)
     wcap = idxcap + 2
-    chain = SuperMap.dilation(ai, evar=h1.evar, ovar=h1.ovar)
+    chain = SuperMap.dilation(ai)
     chain = chain.then(SuperMap.shift_inverse(zt, tht), wcap=wcap, trunc=trunc)
     chain = chain.then(h1, wcap=wcap, trunc=trunc)
     chain = chain.then(SuperMap.shift(z, th), wcap=wcap, trunc=trunc)
@@ -404,26 +394,13 @@ def theta2(B, N, point, order, idxcap=None, width=None, finalize=True,
 
 # -- the sewing operation -----------------------------------------------------
 
-def _flip_series(s, width):
-    """Substitute x -> 1/x (exact monomial swap)."""
-    t = {}
-    for (evens, odds), val in s.el.t.items():
-        d = dict(evens)
-        e = d.get(s.evar, 0)
-        if e:
-            d[s.evar] = -e
-        t[(tuple(sorted(d.items())), odds)] = val
-    return SuperSeries(GE(width, t), None, s.evar, s.ovar)
-
-
 def e_inf_inv_flipped(Hf, idxcap, trunc, check=True):
     """Read infinity data from a composite expressed in the reciprocal
     variable (entry j sits at y^(j-1))."""
     Hf.ev.require_window(idxcap - 1)
     Hf.od.require_window(idxcap - 1)
-    w = Hf.width
-    return e_inf_inv(SuperMap(_flip_series(Hf.ev, w), _flip_series(Hf.od, w)),
-                     idxcap, trunc, check)
+    return e_inf_inv(SuperMap(Hf.ev.flip_x(), Hf.od.flip_x()), idxcap, trunc,
+                     check)
 
 
 def _inf_map(inf, idxcap, trunc, w):
@@ -477,13 +454,11 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     psi = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M, degree_cap,
                     mark=False, trunc=trunc, width=w, finalize=False)
     ai = d_i.asqrt.inverse(trunc)
-    ident = SuperMap.identity(w)
     zero = GE.zero(w)
 
     # F1 = fbar1 o s_(z_i, theta_i) on Q1's side
-    tminus = [(j2, c) for j2, c in psi.items() if j2 < 0]
-    fbar1 = SuperMap(exp_ns_terms(ident.ev, tminus, trunc=trunc),
-                     exp_ns_terms(ident.od, tminus, trunc=trunc))
+    fbar1 = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0], w,
+                       trunc=trunc)
     zi, thi = Q1.puncture(i)
     f1_inv = fbar1.inverse_graded(trunc).then(SuperMap.shift_inverse(zi, thi))
 
@@ -677,33 +652,17 @@ def tangent_functional(z, theta, cap=3):
     trunc = ({"g": 1, ("ep", 0): 1}, cap + 1)
     out = sew(Q1.mark("g"), 1, Q2.mark("g"), cap, trunc=trunc,
               finalize=False)
-    one = GE.one(w)
-    out = out.subs({"g": one})
-    table = {}
-
-    def deps(x):
-        return x.diff_odd(("ep", 0))
-
+    out = out.subs({"g": GE.one(w)})
     c = out.coords[0]
-    v = deps(c.asqrt)
-    if v:
-        table[("asqrt", 1)] = v
-    for j, val in c.A.items():
-        v = deps(val)
-        if v:
-            table[("A", 1, j)] = v
-    for r2, val in c.M.items():
-        v = deps(val)
-        if v:
-            table[("M", 1, r2)] = v
-    for j, val in out.inf.A.items():
-        v = deps(val)
-        if v:
-            table[("A", 0, j)] = v
-    for r2, val in out.inf.M.items():
-        v = deps(val)
-        if v:
-            table[("M", 0, r2)] = v
+    entries = [(("asqrt", 1), c.asqrt)]
+    for k, data in ((1, c), (0, out.inf)):
+        entries += [(("A", k, j), val) for j, val in data.A.items()]
+        entries += [(("M", k, r2), val) for r2, val in data.M.items()]
+    table = {}
+    for label, val in entries:
+        d = val.diff_odd(("ep", 0))
+        if d:
+            table[label] = d
     return table
 
 

@@ -281,12 +281,12 @@ def _binom_expand(n, va, vb, corr, kmax, w, flip):
     correction), k <= kmax."""
     out = GE.zero(w)
     top = kmax if n < 0 else min(n, kmax)
+    base = GE.evar(vb, 1, w) * flip + corr
+    power = GE.one(w)
     for k in range(top + 1):
-        c = binom(n, k)
-        if not c:
-            continue
-        base = GE.evar(vb, 1, w) * flip + corr
-        out = out + GQ(c) * GE.evar(va, n - k, w) * (base ** k)
+        if k:
+            power = power * base
+        out = out + GQ(binom(n, k)) * GE.evar(va, n - k, w) * power
     return out
 
 

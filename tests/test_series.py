@@ -5,8 +5,9 @@ import pytest
 
 from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
-from supersew.series import (PHI, SuperMap, SuperSeries, WindowError,
-                             apply_ns_terms, exp_ns_terms)
+from supersew.series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
+                             _series_inverse_el, apply_ns_terms,
+                             exp_ns_terms)
 
 W = 6
 
@@ -136,18 +137,18 @@ def derivation_by_products(s, idx2):
     """L_j and G_{j-1/2} from their defining formulas, through general
     element products: the reference for the one-pass derivation."""
     w = s.el.width
-    ph = GE.ovar(s.ovar, w)
+    ph = GE.ovar(PHI, w)
     if idx2 % 2 == 0:
         j = idx2 // 2
-        el = -(GE.evar(s.evar, j + 1, w) * s.el.diff_even(s.evar)
+        el = -(GE.evar(XVAR, j + 1, w) * s.el.diff_even(XVAR)
                + GQ(Fraction(j + 1, 2))
-               * GE.evar(s.evar, j, w) * ph * s.el.diff_odd(s.ovar))
+               * GE.evar(XVAR, j, w) * ph * s.el.diff_odd(PHI))
     else:
         j = (idx2 + 1) // 2
-        el = -(GE.evar(s.evar, j, w)
-               * (s.el.diff_odd(s.ovar) - ph * s.el.diff_even(s.evar)))
+        el = -(GE.evar(XVAR, j, w)
+               * (s.el.diff_odd(PHI) - ph * s.el.diff_even(XVAR)))
     nm = None if s.nmax is None else s.nmax + (idx2 + 1) // 2
-    return SuperSeries(el, nm, s.evar, s.ovar)
+    return SuperSeries(el, nm)
 
 
 # odd ids on both sides of PHI = ("ph", 0), even markers on both sides of "x"
@@ -395,3 +396,91 @@ def test_compose_series_negative_weight_takes_uncut_path(monkeypatch):
         assert seen == [None]
         assert got.el == want.el
         assert got.el.wdegree_min({"u": 1}) == -1
+
+
+# the dict-based key handling that the key helpers replaced: the reference
+def xexp_by_dict(key):
+    return dict(key[0]).get(XVAR, 0)
+
+
+def coeff_x_by_dict(s, n):
+    t = {}
+    for (evens, odds), v in s.el.t.items():
+        d = dict(evens)
+        if d.get(XVAR, 0) != n:
+            continue
+        d.pop(XVAR, None)
+        t[(tuple(sorted(d.items())), odds)] = v
+    return GE(s.el.width, t)
+
+
+def flip_by_dict(s):
+    t = {}
+    for (evens, odds), val in s.el.t.items():
+        d = dict(evens)
+        e = d.get(XVAR, 0)
+        if e:
+            d[XVAR] = -e
+        t[(tuple(sorted(d.items())), odds)] = val
+    return GE(s.el.width, t)
+
+
+def leading_by_dict(lead):
+    m = min(dict(k[0]).get(XVAR, 0) for k in lead.t)
+    c = GE(lead.width, {})
+    for (evens, odds), v in lead.t.items():
+        d = dict(evens)
+        if d.get(XVAR, 0) != m:
+            continue
+        d.pop(XVAR, None)
+        c = c + GE(lead.width, {(tuple(sorted(d.items())), odds): v})
+    return m, c
+
+
+def test_x_key_helpers_match_dict_reference():
+    # keys mix markers sorting before x ("ah", "g", "v") and after it ("y"),
+    # negative x-exponents, and odd ids on both sides of PHI
+    rng = random.Random(29)
+    trunc = ({"g": 1, "v": 1}, 2)
+    for _ in range(300):
+        s = random_marked_series(rng)
+        for k in s.el.t:
+            assert s.xexp(k) == xexp_by_dict(k), k
+        for n in range(-4, 6):
+            assert s.coeff_x(n).t == coeff_x_by_dict(s, n).t, (s, n)
+        flipped = s.flip_x()
+        assert flipped.el.t == flip_by_dict(s).t, s
+        assert flipped.nmax is None
+        assert flipped.flip_x().el.t == s.el.t
+        lead = SuperSeries(s.el.truncate(trunc[0], 0))
+        if lead.el:
+            m, c = leading_by_dict(lead.el)
+            assert lead.support_min() == m
+            assert lead.coeff_x(m).t == c.t, s
+
+
+def test_series_inverse_leading_step_matches_dict_reference():
+    # c x^m plus graded corrections: the inverse is x^-m c^-1 (1 + delta)^-1,
+    # with its leading step read off as the dict-based reference reads it
+    rng = random.Random(31)
+    trunc = ({"g": 1, "v": 1}, 2)
+    for _ in range(60):
+        m = rng.randrange(-3, 4)
+        c = GE.scalar(GQ(rng.randrange(1, 4), rng.randrange(-1, 2)), W)
+        for _ in range(rng.randrange(0, 3)):
+            # nilpotent soul: an even product of odd ids, maybe marked by a
+            # weight-zero marker on either side of x
+            odds = tuple(sorted(rng.sample(ODD_IDS + [PHI], 2)))
+            evens = tuple((n, 1) for n in ("ah", "y") if rng.random() < 0.5)
+            c = c + GE(W, {(evens, odds): GQ(rng.randrange(1, 4))})
+        corr = random_marked_series(rng).el
+        corr = GE(W, {k: v for k, v in corr.t.items()
+                      if 0 < sum(e for n, e in k[0] if n in ("g", "v"))})
+        el = c * GE.evar(XVAR, m, W) + corr
+        m_ref, c_ref = leading_by_dict(el.truncate(trunc[0], 0))
+        assert (m_ref, c_ref) == (m, c)
+        inv, exact = _series_inverse_el(SuperSeries(el), trunc=trunc)
+        assert exact
+        assert (inv * el).truncate(*trunc) == GE.one(W)
+        assert inv.truncate(trunc[0], 0) == \
+            GE.evar(XVAR, -m_ref, W) * c_ref.inverse(trunc)

@@ -5,7 +5,7 @@ from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
 from supersew.nsmod import FockModule, GradedVector, level_of
 from supersew.vosa import (ABOSE, PH1, PH2, PSIV, TAU, VAC, X0, X1, X2,
-                           FockVOSA, RationalSuperfunction, binom,
+                           FockVOSA, RationalSuperfunction, _binom_expand, binom,
                            delta_series, iterate_series, monomial_window,
                            pair_dual, two_point)
 
@@ -381,3 +381,32 @@ def _residue(el, var):
         d.pop(var)
         t[(tuple(sorted(d.items())), odds)] = val
     return GE(el.width, t)
+
+
+def binom_expand_by_powers(n, va, vb, corr, kmax, w, flip):
+    """Reference: each power of the base built from scratch."""
+    out = GE.zero(w)
+    top = kmax if n < 0 else min(n, kmax)
+    for k in range(top + 1):
+        c = binom(n, k)
+        if not c:
+            continue
+        base = GE.evar(vb, 1, w) * flip + corr
+        out = out + GQ(c) * GE.evar(va, n - k, w) * (base ** k)
+    return out
+
+
+def test_binom_expand_matches_power_formula():
+    w = 3
+    corrs = [GE.zero(w), GE.ovar(PH1, w) * GE.ovar(PH2, w),
+             GE.scalar(GQ(Fraction(-2, 3), 1), w) * GE.ovar(PH1, w)
+             * GE.ovar(PH2, w) + GE.gen(1, w) * GE.gen(2, w)]
+    for n in range(-6, 7):
+        for kmax in (0, 1, 3, 7):
+            for flip in (1, -1):
+                for corr in corrs:
+                    for va, vb in ((X1, X2), (X2, X0)):
+                        got = _binom_expand(n, va, vb, corr, kmax, w, flip)
+                        want = binom_expand_by_powers(n, va, vb, corr, kmax,
+                                                      w, flip)
+                        assert got == want, (n, kmax, flip, corr, va, vb)
