@@ -281,7 +281,7 @@ class GrassmannElement:
 
     # -- inversion ---------------------------------------------------------
 
-    def inverse(self, trunc=None, maxit=None):
+    def inverse(self, trunc=None):
         """Multiplicative inverse.
 
         trunc: optional (weights, cap) pair applied while summing the
@@ -329,11 +329,8 @@ class GrassmannElement:
                         "soul has even-indeterminate terms; pass trunc to invert")
             bound = len({o for k in s.t for o in k[1]}) + 1
         else:
-            if maxit is None:
-                # soul terms all have positive weight or odd content
-                bound = trunc[1] + len({o for k in s.t for o in k[1]}) + 2
-            else:
-                bound = maxit
+            # soul terms all have positive weight or odd content
+            bound = trunc[1] + len({o for k in s.t for o in k[1]}) + 2
         acc = GrassmannElement.one(self.width)
         term = GrassmannElement.one(self.width)
         for _ in range(bound):
@@ -393,12 +390,12 @@ class GrassmannElement:
                 t.pop(key, None)
         return GrassmannElement(self.width, t)
 
-    def subs(self, mapping, inverses=None, trunc=None, truncs=None):
+    def subs(self, mapping, inverses=None, truncs=None):
         """Substitute even vars / odd generators by elements.
 
         mapping keys: even var names or odd generator ids.  Values must have
         matching parity.  Negative powers of a substituted even var use
-        ``inverses[name]`` when provided, else ``value.inverse(trunc)``.
+        ``inverses[name]`` when provided, else ``value.inverse()``.
         ``truncs``: optional list of (weights, cap) pairs applied to every
         partial product (callers guarantee soundness of each cut).
         """
@@ -434,7 +431,7 @@ class GrassmannElement:
                     else:
                         binv = inverses.get(name)
                         if binv is None:
-                            binv = base.inverse(trunc)
+                            binv = base.inverse()
                         f = pow_cut(binv, -exp) if cuts else binv ** (-exp)
                     pow_cache[ck] = f
                 acc = cut(acc * f)
@@ -471,13 +468,13 @@ class GrassmannElement:
                 bits.append(head)
         return " + ".join(bits)
 
-def ge_exp(x, trunc=None, maxit=200):
+def ge_exp(x, trunc=None):
     """exp of a nilpotent or graded-small even element."""
     if not x.is_even():
         raise ValueError("exponent must be even")
     out = GrassmannElement.one(x.width)
     term = GrassmannElement.one(x.width)
-    for n in range(1, maxit + 1):
+    for n in range(1, 201):
         term = term * x * GQ(Fraction(1, n))
         if trunc is not None:
             term = term.truncate(*trunc)
@@ -487,14 +484,14 @@ def ge_exp(x, trunc=None, maxit=200):
     raise ValueError("exponential series did not terminate")
 
 
-def ge_log(x, trunc=None, maxit=200):
+def ge_log(x, trunc=None):
     """log of 1 + (nilpotent or graded-small even part)."""
     s = x - GrassmannElement.one(x.width)
     if trunc is not None:
         s = s.truncate(*trunc)
     out = GrassmannElement.zero(x.width)
     term = GrassmannElement.one(x.width)
-    for n in range(1, maxit + 1):
+    for n in range(1, 201):
         term = term * s
         if trunc is not None:
             term = term.truncate(*trunc)

@@ -22,6 +22,44 @@ from .scalars import GQ
 from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_map
 
 
+def max_index(*families):
+    """The largest index j over (A, M) families: A_j counts j and
+    M_{j-1/2} (doubled index 2j-1) counts j; 0 when all are empty."""
+    return max([j for A, _M in families for j in A]
+               + [(r2 + 1) // 2 for _A, M in families for r2 in M], default=0)
+
+
+def data_width(*parts):
+    """The largest Grassmann width among ``parts``: elements, or dicts of
+    elements; 0 when there are none."""
+    return max([v.width for p in parts
+                for v in (p.values() if isinstance(p, dict) else (p,))],
+               default=0)
+
+
+def _entries(A, M):
+    """The nonzero entries of (A, M), their indices checked: A_j at integers
+    j >= 1, M_{j-1/2} at doubled indices 2j-1 (odd positive integers)."""
+    A = {j: v for j, v in (A or {}).items() if v}
+    M = {r2: v for r2, v in (M or {}).items() if v}
+    for j in A:
+        if not (isinstance(j, int) and j >= 1):
+            raise ValueError("A indices must be positive integers")
+    for r2 in M:
+        if not (isinstance(r2, int) and r2 >= 1 and r2 % 2 == 1):
+            raise ValueError("M indices must be doubled half-integers "
+                             "(odd positive ints)")
+    return A, M
+
+
+def _marked(name, A, M):
+    """(A, M) with every entry multiplied by the even bookkeeping variable
+    ``name``; the product keeps each entry's width."""
+    u = GE.evar(name)
+    return ({j: u * v for j, v in A.items()},
+            {r2: u * v for r2, v in M.items()})
+
+
 class CoordData:
     """(asqrt, {A_j}, {M_{j-1/2}}) with M keyed by the doubled index 2j-1."""
 
@@ -31,37 +69,23 @@ class CoordData:
         if not isinstance(asqrt, GE):
             raise TypeError("asqrt must be a GrassmannElement")
         self.asqrt = asqrt
-        self.A = {j: v for j, v in (A or {}).items() if v}
-        self.M = {r2: v for r2, v in (M or {}).items() if v}
-        for j in self.A:
-            if not (isinstance(j, int) and j >= 1):
-                raise ValueError("A indices must be positive integers")
-        for r2 in self.M:
-            if not (isinstance(r2, int) and r2 >= 1 and r2 % 2 == 1):
-                raise ValueError("M indices must be doubled half-integers "
-                                 "(odd positive ints)")
+        self.A, self.M = _entries(A, M)
 
     @classmethod
     def identity(cls, width=0):
         return cls(GE.one(width))
 
     def max_index(self):
-        idx = [j for j in self.A] + [(r2 + 1) // 2 for r2 in self.M]
-        return max(idx) if idx else 0
+        return max_index((self.A, self.M))
 
     def scale_marker(self, name):
         """Multiply every A and M entry by an even bookkeeping variable."""
-        u = GE.evar(name, 1, self.asqrt.width)
-        return CoordData(self.asqrt,
-                         {j: u * v for j, v in self.A.items()},
-                         {r2: u * v for r2, v in self.M.items()})
+        return CoordData(self.asqrt, *_marked(name, self.A, self.M))
 
-    def subs(self, mapping, inverses=None, trunc=None):
-        return CoordData(self.asqrt.subs(mapping, inverses, trunc),
-                         {j: v.subs(mapping, inverses, trunc)
-                          for j, v in self.A.items()},
-                         {r2: v.subs(mapping, inverses, trunc)
-                          for r2, v in self.M.items()})
+    def subs(self, mapping):
+        return CoordData(self.asqrt.subs(mapping),
+                         {j: v.subs(mapping) for j, v in self.A.items()},
+                         {r2: v.subs(mapping) for r2, v in self.M.items()})
 
     def __eq__(self, other):
         if isinstance(other, CoordData):
@@ -76,28 +100,21 @@ class CoordData:
 
 
 class InfCoordData:
-    """Coordinate-at-infinity data (A0, M0), finitely supported."""
+    """Coordinate-at-infinity data (A0, M0), finitely supported, indexed as
+    in ``CoordData``."""
 
     __slots__ = ("A", "M")
 
     def __init__(self, A=None, M=None):
-        self.A = {j: v for j, v in (A or {}).items() if v}
-        self.M = {r2: v for r2, v in (M or {}).items() if v}
+        self.A, self.M = _entries(A, M)
 
-    def max_index(self):
-        idx = [j for j in self.A] + [(r2 + 1) // 2 for r2 in self.M]
-        return max(idx) if idx else 0
+    def scale_marker(self, name):
+        """Multiply every A and M entry by an even bookkeeping variable."""
+        return InfCoordData(*_marked(name, self.A, self.M))
 
-    def scale_marker(self, name, width=0):
-        u = GE.evar(name, 1, width)
-        return InfCoordData({j: u * v for j, v in self.A.items()},
-                            {r2: u * v for r2, v in self.M.items()})
-
-    def subs(self, mapping, inverses=None, trunc=None):
-        return InfCoordData({j: v.subs(mapping, inverses, trunc)
-                             for j, v in self.A.items()},
-                            {r2: v.subs(mapping, inverses, trunc)
-                             for r2, v in self.M.items()})
+    def subs(self, mapping):
+        return InfCoordData({j: v.subs(mapping) for j, v in self.A.items()},
+                            {r2: v.subs(mapping) for r2, v in self.M.items()})
 
     def __eq__(self, other):
         if isinstance(other, InfCoordData):
@@ -126,9 +143,8 @@ def e_tilde(A, M, order=None, trunc=None, width=0):
     through x**order, and exact everywhere (``nmax=None``) only when the
     exponential ended below that degree on its own.
     """
-    wd = max([width] + [v.width for v in A.values()]
-             + [v.width for v in M.values()])
-    return exp_ns_map(ns_terms(A, M, negate=True), wd, xcap=order,
+    return exp_ns_map(ns_terms(A, M, negate=True),
+                      max(width, data_width(A, M)), xcap=order,
                       trunc=trunc)
 
 
@@ -197,9 +213,8 @@ def inf_exp_map(A0, M0, trunc, width=0, xfloor=None):
     A lower window ``xfloor`` makes the map finite even for data whose first
     entry carries a body (a shift component); coefficients at degrees >=
     xfloor are exact."""
-    wd = max([width] + [v.width for v in A0.values()]
-             + [v.width for v in M0.values()])
-    return exp_ns_map(ns_terms(A0, M0, raising=True), wd, trunc=trunc,
+    return exp_ns_map(ns_terms(A0, M0, raising=True),
+                      max(width, data_width(A0, M0)), trunc=trunc,
                       xfloor=xfloor)
 
 

@@ -148,82 +148,37 @@ class VermaModule(_ModuleBase):
             else:
                 out.pop(k, None)
 
-        if i2 % 2 == 0:
-            n = i2 // 2
-            if not ls and not gs:
-                if n > 0:
-                    pass
-                elif n == 0:
-                    if self.h:
-                        add(key, GE.scalar(self.h, self.width))
-                else:
-                    add(((-n,), ()), GE.one(self.width))
-            elif ls:
-                m1 = ls[0]
-                if n <= -m1:
-                    add(((-n,) + ls, gs), GE.one(self.width))
-                else:
-                    tail = (ls[1:], gs)
-                    for k2, v2 in self.gen_apply(i2, tail).items():
-                        for k3, v3 in self.gen_apply(-2 * m1, k2).items():
-                            add(k3, v3 * v2)
-                    for sym, coeff in ns_bracket_gens(i2, -2 * m1):
-                        if sym[0] == "d":
-                            add(tail, self.central * coeff)
-                        else:
-                            for k3, v3 in self.gen_apply(sym_idx2(sym),
-                                                         tail).items():
-                                add(k3, v3 * coeff)
-            elif n < 0:
-                # creation L(n) in front of a pure G-word is already PBW
-                add(((-n,), gs), GE.one(self.width))
-            else:
-                r2 = gs[0]
-                tail = ((), gs[1:])
-                for k2, v2 in self.gen_apply(i2, tail).items():
-                    for k3, v3 in self.gen_apply(-r2, k2).items():
-                        add(k3, v3 * v2)
-                for sym, coeff in ns_bracket_gens(i2, -r2):
-                    if sym[0] == "d":
-                        add(tail, self.central * coeff)
-                    else:
-                        for k3, v3 in self.gen_apply(sym_idx2(sym),
-                                                     tail).items():
-                            add(k3, v3 * coeff)
+        if not ls and not gs:
+            if i2 < 0:
+                add(((-i2 // 2,), ()) if i2 % 2 == 0 else ((), (-i2,)),
+                    GE.one(self.width))
+            elif i2 == 0 and self.h:
+                add(key, GE.scalar(self.h, self.width))
+        elif i2 % 2 == 0 and i2 // 2 <= (-ls[0] if ls else -1):
+            # creation L(n) in front of the word is already in PBW place
+            add(((-i2 // 2,) + ls, gs), GE.one(self.width))
+        elif i2 % 2 and not ls and -i2 > gs[0]:
+            add(((), (-i2,) + gs), GE.one(self.width))
+        elif i2 % 2 and not ls and -i2 == gs[0]:
+            # G(r)G(r) = L(2r)
+            for k3, v3 in self.gen_apply(2 * i2, ((), gs[1:])).items():
+                add(k3, v3)
         else:
-            if not ls and not gs:
-                if i2 < 0:
-                    add(((), (-i2,)), GE.one(self.width))
-            elif ls:
-                m1 = ls[0]
-                tail = (ls[1:], gs)
-                for k2, v2 in self.gen_apply(i2, tail).items():
-                    for k3, v3 in self.gen_apply(-2 * m1, k2).items():
-                        add(k3, v3 * v2)
-                for sym, coeff in ns_bracket_gens(i2, -2 * m1):
-                    for k3, v3 in self.gen_apply(sym_idx2(sym), tail).items():
-                        add(k3, v3 * coeff)
-            else:
-                s2 = gs[0]
-                if i2 < 0 and -i2 > s2:
-                    add((ls, (-i2,) + gs), GE.one(self.width))
-                elif i2 < 0 and -i2 == s2:
-                    # G(r)G(r) = L(2r)
-                    tail = ((), gs[1:])
-                    for k3, v3 in self.gen_apply(2 * i2, tail).items():
-                        add(k3, v3)
+            # gen X tail = (-1)^(|gen||X|) X (gen tail) + [gen, X] tail, X the
+            # word's leading creation operator
+            x2 = -2 * ls[0] if ls else -gs[0]
+            tail = (ls[1:], gs) if ls else ((), gs[1:])
+            odd = i2 % 2 and x2 % 2
+            for k2, v2 in self.gen_apply(i2, tail).items():
+                for k3, v3 in self.gen_apply(x2, k2).items():
+                    add(k3, -(v3 * v2) if odd else v3 * v2)
+            for sym, coeff in ns_bracket_gens(i2, x2):
+                if sym[0] == "d":
+                    add(tail, self.central * coeff)
                 else:
-                    tail = ((), gs[1:])
-                    for k2, v2 in self.gen_apply(i2, tail).items():
-                        for k3, v3 in self.gen_apply(-s2, k2).items():
-                            add(k3, -(v3 * v2))
-                    for sym, coeff in ns_bracket_gens(i2, -s2):
-                        if sym[0] == "d":
-                            add(tail, self.central * coeff)
-                        else:
-                            for k3, v3 in self.gen_apply(sym_idx2(sym),
-                                                         tail).items():
-                                add(k3, v3 * coeff)
+                    for k3, v3 in self.gen_apply(sym_idx2(sym),
+                                                 tail).items():
+                        add(k3, v3 * coeff)
         memo[(i2, key)] = out
         return out
 
@@ -469,7 +424,7 @@ class GradedVector:
         return out
 
 
-def exp_act(vec, terms, level2_cap=None, trunc=None, maxit=400):
+def exp_act(vec, terms, level2_cap=None, trunc=None):
     """exp(sum coeff*gen) applied to a graded vector.
 
     Lowering-only exponentials (all idx2 > 0) terminate on their own;
@@ -488,7 +443,7 @@ def exp_act(vec, terms, level2_cap=None, trunc=None, maxit=400):
         raise ValueError("raising exponential requires a level cap")
     out = vec
     term = vec
-    for n in range(1, maxit + 1):
+    for n in range(1, 401):
         nxt = None
         for i2, coeff in terms:
             piece = term.apply_gen(i2, coeff)

@@ -272,8 +272,7 @@ def apply_ns_terms(series, terms):
     return out
 
 
-def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None,
-                 maxit=500):
+def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None):
     """exp(sum coeff * generator) applied to a SuperSeries.
 
     Positive-index terms raise the x-degree, so an x-degree cap makes the
@@ -305,7 +304,7 @@ def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None,
     out = series
     term = series
     pruned = False
-    for n in range(1, maxit + 1):
+    for n in range(1, 501):
         term = apply_ns_terms(term, terms)
         term = term.clone(el=term.el * GQ(Fraction(1, n)))
         if xcap is not None and all_pos:
@@ -322,7 +321,7 @@ def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None,
             break
         out = out + term
     else:
-        raise ValueError("exponential did not terminate after %d steps" % maxit)
+        raise ValueError("exponential did not terminate after 500 steps")
     if xcap is not None and all_pos:
         out = out.truncate_x(xcap)
         if pruned:
@@ -512,7 +511,7 @@ class SuperMap:
             raise ValueError("map inversion did not stabilize")
         return k.truncate_x(order)
 
-    def inverse_graded(self, trunc, wlow=None):
+    def inverse_graded(self, trunc):
         """Compositional inverse of id + (graded-small corrections).
 
         The corrections must have positive degree under ``trunc`` weights so

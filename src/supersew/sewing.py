@@ -3,18 +3,24 @@ coordinate data), the symmetric-group action, the canonical sewing solution
 and its central-charge series, and the two families of sewn-coordinate data.
 
 Truncation model: all coordinate-data entries (the A_j, M_{j-1/2} of every
-local coordinate and the infinity data) are graded by bookkeeping variables;
-every series computed here is a finite Laurent polynomial once the total
-data degree is capped, except for expansions of powers of (w + invertible)
-which carry an explicit exactness window in the series variable.
+local coordinate and the infinity data) are graded by even bookkeeping
+variables, and there is one path for it.  Mark: ``scale_marker`` (through
+``ModuliPoint.mark`` for a whole point) multiplies every entry by the
+variable ("g" for sewing and the S_n action, "u" and "v" for the two sides
+of the sewing factorization).  Cut: every product is truncated at a total
+degree in the variables, the ``trunc`` pair (weights, cap) passed down the
+stack.  Unmark: ``subs`` sets the variables back to 1.  Every series computed
+here is then a finite Laurent polynomial, except for expansions of powers of
+(w + invertible), which carry an explicit exactness window in the series
+variable.
 """
 
 from fractions import Fraction
 
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE, NotInvertible, ge_exp, ge_log
-from .nscoord import (CoordData, InfCoordData, e_hat, e_hat_inv, e_inf_inv,
-                      e_tilde, inf_exp_map, ns_terms)
+from .nscoord import (CoordData, InfCoordData, data_width, e_hat, e_hat_inv,
+                      e_inf_inv, e_tilde, inf_exp_map, max_index, ns_terms)
 from .series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
                      exp_ns_map)
 
@@ -88,23 +94,16 @@ class ModuliPoint:
         return self.punctures[i - 1]
 
     def mark(self, name):
-        return ModuliPoint(self.n, self.punctures,
-                           self.inf.scale_marker(name, self.width),
-                           [CoordData(c.asqrt,
-                                      {j: GE.evar(name, 1, self.width) * v
-                                       for j, v in c.A.items()},
-                                      {r2: GE.evar(name, 1, self.width) * v
-                                       for r2, v in c.M.items()})
-                            for c in self.coords],
+        """Every coordinate-data entry times the even variable ``name``."""
+        return ModuliPoint(self.n, self.punctures, self.inf.scale_marker(name),
+                           [c.scale_marker(name) for c in self.coords],
                            self.width, validate=False)
 
-    def subs(self, mapping, inverses=None, trunc=None):
+    def subs(self, mapping):
         return ModuliPoint(
             self.n,
-            [(z.subs(mapping, inverses, trunc), t.subs(mapping, inverses, trunc))
-             for (z, t) in self.punctures],
-            self.inf.subs(mapping, inverses, trunc),
-            [c.subs(mapping, inverses, trunc) for c in self.coords],
+            [(z.subs(mapping), t.subs(mapping)) for (z, t) in self.punctures],
+            self.inf.subs(mapping), [c.subs(mapping) for c in self.coords],
             self.width, validate=False)
 
     def __eq__(self, other):
@@ -120,18 +119,7 @@ class ModuliPoint:
                 % (self.n, self.punctures, self.inf, self.coords))
 
 
-def _max_index(*datasets):
-    out = 1
-    for A, M in datasets:
-        for j in A:
-            out = max(out, j)
-        for r2 in M:
-            out = max(out, (r2 + 1) // 2)
-    return out
-
-
-def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
-              width=None, finalize=True):
+def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
     """The canonical factorization coefficients of the sewing uniformizer.
 
     Returns {doubled index j2: coefficient}; the table satisfies the
@@ -140,29 +128,14 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
     dilation factors with these coefficients, uniquely once the leading
     linear terms are pinned.
 
-    degree_cap bounds the total degree in the (A, M) entries times the
-    (B, N) entries; with mark=True the two sides are tagged by bookkeeping
-    variables "u" and "v" (substituted away again unless finalize=False).
+    The entries come marked by the caller's bookkeeping variables, and
+    ``trunc`` cuts at total degree degree_cap in them; the coefficients keep
+    the marks.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
-    w = width
-    if w is None:
-        w = max([asqrt.width] + [x.width for x in A.values()]
-                + [x.width for x in M.values()]
-                + [x.width for x in B.values()]
-                + [x.width for x in N.values()])
-    if mark:
-        u = GE.evar("u", 1, w)
-        v = GE.evar("v", 1, w)
-        A = {j: u * x for j, x in A.items()}
-        M = {r2: u * x for r2, x in M.items()}
-        B = {j: v * x for j, x in B.items()}
-        N = {r2: v * x for r2, x in N.items()}
-        trunc = ({"u": 1, "v": 1}, degree_cap)
-    elif trunc is None:
-        raise ValueError("unmarked solve needs an explicit truncation")
-    jmax = degree_cap * _max_index((A, M), (B, N))
+    w = data_width(asqrt, A, M, B, N) if width is None else width
+    jmax = degree_cap * (max_index((A, M), (B, N)) or 1)
     ai = asqrt.inverse(trunc)
     a2i = ai * ai
 
@@ -212,16 +185,10 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, mark=True, trunc=None,
         resid = (getattr(lhs, comp).el - getattr(r, comp).el).truncate(*trunc)
         if resid:
             raise SewError("sewing factorization did not close: %r" % resid)
-    psi = {j2: c for j2, c in psi.items() if c}
-    if mark and finalize:
-        one = GE.one(w)
-        psi = {j2: c.subs({"u": one, "v": one}) for j2, c in psi.items()}
-        psi = {j2: c for j2, c in psi.items() if c}
-    return psi
+    return {j2: c for j2, c in psi.items() if c}
 
 
-def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
-                finalize=True):
+def solve_gamma(asqrt, A, M, B, N, degree_cap):
     """The central-charge series of the sewing factorization.
 
     Extracted on a Verma-type module with symbolic central charge: the
@@ -233,30 +200,20 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
 
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2 for the central term")
-    w = width
-    if w is None:
-        w = max([asqrt.width] + [x.width for x in A.values()]
-                + [x.width for x in M.values()]
-                + [x.width for x in B.values()]
-                + [x.width for x in N.values()])
-    u = GE.evar("u", 1, w)
-    v = GE.evar("v", 1, w)
-    Au = {j: u * x for j, x in A.items()}
-    Mu = {r2: u * x for r2, x in M.items()}
-    Bv = {j: v * x for j, x in B.items()}
-    Nv = {r2: v * x for r2, x in N.items()}
+    w = data_width(asqrt, A, M, B, N)
+    d = CoordData(asqrt, A, M).scale_marker("u")
+    inf = InfCoordData(B, N).scale_marker("v")
     trunc = ({"u": 1, "v": 1}, degree_cap)
-    psi = solve_psi(asqrt, Au, Mu, Bv, Nv, degree_cap, mark=False,
-                    trunc=trunc, width=w, finalize=False)
+    psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, degree_cap, trunc, w)
     ai = asqrt.inverse(trunc)
 
-    mod = VermaModule(h=h, width=w)
+    mod = VermaModule(width=w)
     vh = mod.basis_vector(mod.vacuum_key())
 
-    lhs = exp_act(vh, ns_terms(Bv, Nv, negate=True, raising=True),
+    lhs = exp_act(vh, ns_terms(inf.A, inf.M, negate=True, raising=True),
                   trunc=trunc)
     lhs = lhs.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
-    lhs = exp_act(lhs, ns_terms(Au, Mu, negate=True), trunc=trunc)
+    lhs = exp_act(lhs, ns_terms(d.A, d.M, negate=True), trunc=trunc)
 
     rhs = vh.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
     p0 = psi.get(0, GE.zero(w))
@@ -275,11 +232,8 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap, h=0, width=None,
     for (evens, _odds) in gc.t:
         if dict(evens).get("c", 0) != 1:
             raise SewError("central-charge series is not c-linear: %r" % gc)
-    gamma = gc.diff_even("c")
-    if finalize:
-        one = GE.one(w)
-        gamma = gamma.subs({"u": one, "v": one})
-    return gamma
+    one = GE.one(w)
+    return gc.diff_even("c").subs({"u": one, "v": one})
 
 
 def _graded_scale(vec, p0, trunc):
@@ -294,8 +248,8 @@ def _graded_scale(vec, p0, trunc):
 
 # -- sewn-coordinate series --------------------------------------------------
 
-def theta1(asqrt, A, M, point, order, idxcap=None, width=None,
-           finalize=True, as_data=False):
+def theta1(asqrt, A, M, point, order, idxcap=None, finalize=True,
+           as_data=False):
     """Coordinate data of the sewn local coordinate when a generic
     one-tube datum absorbs a standard puncture at ``point``.
 
@@ -304,20 +258,14 @@ def theta1(asqrt, A, M, point, order, idxcap=None, width=None,
     coordinate datum is returned instead (scale entry not logged), which
     stays polynomial after the grading marker is substituted away.
     """
-    w = width
-    if w is None:
-        w = max([asqrt.width] + [x.width for x in A.values()]
-                + [x.width for x in M.values()]
-                + [point[0].width, point[1].width])
-    u = GE.evar("u", 1, w)
-    Au = {j: u * x for j, x in A.items()}
-    Mu = {r2: u * x for r2, x in M.items()}
+    w = data_width(asqrt, A, M, *point)
+    d = CoordData(asqrt, A, M).scale_marker("u")
     trunc = ({"u": 1}, order)
+    jmax = max_index((d.A, d.M)) or 1
     if idxcap is None:
-        idxcap = order * _max_index((Au, Mu)) + 1
+        idxcap = order * jmax + 1
     z, th = point
-    d = CoordData(asqrt, Au, Mu)
-    korder = 1 + order * _max_index((Au, Mu)) + 2
+    korder = 1 + order * jmax + 2
     h1 = e_hat(d, trunc=trunc)
     k = h1.inverse_at_zero(order=korder, trunc=trunc)
     if (k.ev.support_max() or 0) > korder - 1 or \
@@ -354,33 +302,16 @@ def _theta_output(td, trunc, w, finalize, as_data, marker):
     return table
 
 
-def theta2(B, N, point, order, idxcap=None, width=None, finalize=True,
-           tmark=None, as_data=False):
+def theta2(B, N, point, order, idxcap=None, finalize=True, as_data=False):
     """Coordinate data of the sewn local coordinate when an infinity datum
-    is absorbed at the puncture ``point`` of a standard two-tube sphere.
-
-    tmark: optional even variable name grading entry j by t^(2j) and
-    the odd entry by t^(2j-1) (used by the graded module identities).
-    """
-    w = width
-    if w is None:
-        w = max([x.width for x in B.values()]
-                + [x.width for x in N.values()]
-                + [point[0].width, point[1].width] + [0])
-    v = GE.evar("v", 1, w)
-
-    def tfac(e2):
-        if tmark is None:
-            return GE.one(w)
-        return GE.evar(tmark, e2, w)
-
-    Bv = {j: v * tfac(2 * j) * x for j, x in B.items()}
-    Nv = {r2: v * tfac(r2) * x for r2, x in N.items()}
+    is absorbed at the puncture ``point`` of a standard two-tube sphere."""
+    w = data_width(B, N, *point)
+    inf = InfCoordData(B, N).scale_marker("v")
     trunc = ({"v": 1}, order)
     if idxcap is None:
-        idxcap = order * _max_index((Bv, Nv)) + 1
+        idxcap = order * (max_index((inf.A, inf.M)) or 1) + 1
     z, th = point
-    hd = inf_exp_map(Bv, Nv, trunc, width=w)
+    hd = inf_exp_map(inf.A, inf.M, trunc, width=w)
     hdi = hd.inverse_graded(trunc)
     zi = z.inverse()
     zt, tht = hdi.eval_at(z, th, zinv=zi, trunc=trunc)
@@ -445,14 +376,14 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     m, n = Q1.n, Q2.n
     d_i = Q1.coords[i - 1]
     B0 = Q2.inf
-    jall = _max_index(*[(c.A, c.M) for c in Q1.coords + Q2.coords]
-                      + [(Q1.inf.A, Q1.inf.M), (Q2.inf.A, Q2.inf.M)])
+    jall = max_index(*[(c.A, c.M) for c in Q1.coords + Q2.coords]
+                     + [(Q1.inf.A, Q1.inf.M), (Q2.inf.A, Q2.inf.M)]) or 1
     if idxcap is None:
         idxcap = degree_cap * jall + jall + 1
     wcap = idxcap + 3
 
-    psi = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M, degree_cap,
-                    mark=False, trunc=trunc, width=w, finalize=False)
+    psi = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M, degree_cap, trunc,
+                    w)
     ai = d_i.asqrt.inverse(trunc)
     zero = GE.zero(w)
 
@@ -626,7 +557,7 @@ def _transpose_adjacent(Q, k, cap, idxcap, trunc):
     coords = list(Q.coords)
     coords[n - 2], coords[n - 1] = coords[n - 1], coords[n - 2]
     if idxcap is None:
-        jall = _max_index((Q.inf.A, Q.inf.M))
+        jall = max_index((Q.inf.A, Q.inf.M)) or 1
         idxcap = cap * jall + jall + 1
     hd = _inf_map(Q.inf, idxcap, trunc, w)
     chain = _inf_chain((zc, tc), None, hd, idxcap + 3, trunc, w)

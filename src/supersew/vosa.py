@@ -130,33 +130,16 @@ class FockVOSA:
         memo[(u_key, m, w_key)] = out
         return out
 
-    def apply_mode(self, u_key, m, vec, coeff=None):
-        """coeff * u_m applied to a vector, with the envelope sign rule."""
-        odd = self.parity(u_key)
-        out = {}
-        for key, b in vec.t.items():
-            fac = b.parity_twist() if odd else b
-            if coeff is not None:
-                fac = coeff * fac
-            for k2, v2 in self.mode_basis(u_key, m, key).items():
-                cur = out.get(k2)
-                val = fac * v2 if cur is None else cur + fac * v2
-                if val:
-                    out[k2] = val
-                else:
-                    out.pop(k2, None)
-        return GradedVector(self.mod, out)
-
     # -- fields with odd variables -------------------------------------------
 
     def ytilde_apply(self, u, vec, evar, odd_factor, target2=None,
-                     cap2=None, nrange=None):
+                     nrange=None):
         """Y(u,(x,phi)) vec as a vector with formal-variable coefficients.
 
         odd_factor: the odd element playing phi (a generator or a
-        combination like ph1 - ph2).  Modes are restricted either to land on
-        doubled weight target2 or to keep doubled weight <= cap2; nrange
-        overrides with an explicit (lo, hi) window on the mode index.
+        combination like ph1 - ph2).  Modes are restricted to land on
+        doubled weight target2; nrange overrides with an explicit (lo, hi)
+        window on the mode index.
         """
         if not isinstance(u, tuple):
             raise TypeError("pass a basis key")
@@ -173,15 +156,11 @@ class FockVOSA:
                     if nrange is not None:
                         lo, hi = nrange
                         ns = range(lo, hi + 1)
-                    elif target2 is not None:
+                    else:
                         num = plev2 + klev - target2 - 2
                         if num % 2:
                             continue
                         ns = [num // 2]
-                    else:
-                        lo = (plev2 + klev - cap2) // 2 - 1
-                        hi = (plev2 + klev) // 2
-                        ns = range(lo, hi + 1)
                     for n in ns:
                         res = self.mode_basis(pkey, n, key)
                         if not res:

@@ -290,3 +290,19 @@ def test_read_offs_build_no_exponential_per_degree(monkeypatch):
     e_inf_inv(hd, idxcap=9, trunc=trunc)
     assert len(inf) <= 1
     assert len(tilde) == 1
+
+
+def test_inf_coord_data_rejects_bad_indices():
+    # M at an even doubled index would be read as an L entry with an odd
+    # coefficient; A_{-1} and A_0 are no entries of the data at infinity
+    v = GE.evar("v", 1, W)
+    for A, M in (({}, {2: v * z(1)}), ({-1: v}, {}), ({0: v}, {}),
+                 ({0: v * z(1) * z(2)}, {}), ({}, {-1: v * z(1)}),
+                 ({1.0: v}, {})):
+        with pytest.raises(ValueError):
+            InfCoordData(A, M)
+    # the valid indices still round-trip
+    trunc = ({"v": 1}, 3)
+    d = InfCoordData({1: v, 2: v * z(1) * z(2)}, {1: v * z(3), 3: v * z(4)})
+    hd = inf_exp_map(d.A, d.M, trunc, width=W)
+    assert e_inf_inv(hd, idxcap=4, trunc=trunc) == d

@@ -230,3 +230,117 @@ def test_envelope_sign_rule():
     assert got.t[key] == -(z2 * z1) or got.t[key] == z2.parity_twist() * z1
     # explicit: (z2 G)(z1 v) = -z2 z1 G(v) because both are odd
     assert got.t[key] == -(z2 * z1)
+
+
+class _BranchVerma(VermaModule):
+    """``gen_apply`` as four hand-copied commutation branches (L past L, L
+    past G, G past L, G past G), kept as the reference for the single
+    commutation path."""
+
+    def gen_apply(self, i2, key):
+        memo = self._memo
+        got = memo.get((i2, key))
+        if got is not None:
+            return got
+        ls, gs = key
+        out = {}
+
+        def add(k, v):
+            cur = out.get(k)
+            v = cur + v if cur is not None else v
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+
+        if i2 % 2 == 0:
+            n = i2 // 2
+            if not ls and not gs:
+                if n > 0:
+                    pass
+                elif n == 0:
+                    if self.h:
+                        add(key, GE.scalar(self.h, self.width))
+                else:
+                    add(((-n,), ()), GE.one(self.width))
+            elif ls:
+                m1 = ls[0]
+                if n <= -m1:
+                    add(((-n,) + ls, gs), GE.one(self.width))
+                else:
+                    tail = (ls[1:], gs)
+                    for k2, v2 in self.gen_apply(i2, tail).items():
+                        for k3, v3 in self.gen_apply(-2 * m1, k2).items():
+                            add(k3, v3 * v2)
+                    for sym, coeff in ns_bracket_gens(i2, -2 * m1):
+                        if sym[0] == "d":
+                            add(tail, self.central * coeff)
+                        else:
+                            for k3, v3 in self.gen_apply(sym_idx2(sym),
+                                                         tail).items():
+                                add(k3, v3 * coeff)
+            elif n < 0:
+                # creation L(n) in front of a pure G-word is already PBW
+                add(((-n,), gs), GE.one(self.width))
+            else:
+                r2 = gs[0]
+                tail = ((), gs[1:])
+                for k2, v2 in self.gen_apply(i2, tail).items():
+                    for k3, v3 in self.gen_apply(-r2, k2).items():
+                        add(k3, v3 * v2)
+                for sym, coeff in ns_bracket_gens(i2, -r2):
+                    if sym[0] == "d":
+                        add(tail, self.central * coeff)
+                    else:
+                        for k3, v3 in self.gen_apply(sym_idx2(sym),
+                                                     tail).items():
+                            add(k3, v3 * coeff)
+        else:
+            if not ls and not gs:
+                if i2 < 0:
+                    add(((), (-i2,)), GE.one(self.width))
+            elif ls:
+                m1 = ls[0]
+                tail = (ls[1:], gs)
+                for k2, v2 in self.gen_apply(i2, tail).items():
+                    for k3, v3 in self.gen_apply(-2 * m1, k2).items():
+                        add(k3, v3 * v2)
+                for sym, coeff in ns_bracket_gens(i2, -2 * m1):
+                    for k3, v3 in self.gen_apply(sym_idx2(sym), tail).items():
+                        add(k3, v3 * coeff)
+            else:
+                s2 = gs[0]
+                if i2 < 0 and -i2 > s2:
+                    add((ls, (-i2,) + gs), GE.one(self.width))
+                elif i2 < 0 and -i2 == s2:
+                    # G(r)G(r) = L(2r)
+                    tail = ((), gs[1:])
+                    for k3, v3 in self.gen_apply(2 * i2, tail).items():
+                        add(k3, v3)
+                else:
+                    tail = ((), gs[1:])
+                    for k2, v2 in self.gen_apply(i2, tail).items():
+                        for k3, v3 in self.gen_apply(-s2, k2).items():
+                            add(k3, -(v3 * v2))
+                    for sym, coeff in ns_bracket_gens(i2, -s2):
+                        if sym[0] == "d":
+                            add(tail, self.central * coeff)
+                        else:
+                            for k3, v3 in self.gen_apply(sym_idx2(sym),
+                                                         tail).items():
+                                add(k3, v3 * coeff)
+        memo[(i2, key)] = out
+        return out
+
+
+def test_verma_gen_apply_matches_branch_reference():
+    keys = enumerate_basis(8)
+    for h in (0, Fraction(3, 2), Fraction(-1, 3)):
+        for width in (0, 4):
+            mod = VermaModule(h=h, width=width)
+            ref = _BranchVerma(h=h, width=width)
+            for key in keys:
+                for i2 in range(-9, 10):
+                    assert mod.gen_apply(i2, key) == \
+                        ref.gen_apply(i2, key), (h, width, key, i2)
+            assert mod._memo.keys() == ref._memo.keys()

@@ -26,14 +26,15 @@ AH = GE.evar("ah", 1, W)
 
 
 def test_psi_zero_data_is_zero():
-    assert solve_psi(GE.one(W), {}, {}, {}, {}, 3) == {}
+    assert solve_psi(GE.one(W), {}, {}, {}, {}, 3,
+                     ({"u": 1, "v": 1}, 3)) == {}
 
 
 def test_psi_first_order_leading_terms():
-    psi = solve_psi(AH, {2: sc(1)}, {3: z(1)}, {1: sc(1)}, {1: z(2)}, 2,
-                    finalize=False)
     u = GE.evar("u", 1, W)
     v = GE.evar("v", 1, W)
+    psi = solve_psi(AH, {2: u * sc(1)}, {3: u * z(1)}, {1: v * sc(1)},
+                    {1: v * z(2)}, 2, ({"u": 1, "v": 1}, 2))
     # positive side: psi_j = -A_j, psi_{j-1/2} = -M_{j-1/2} at pure u-degree
     assert psi[4].subs({"v": GE.zero(W)}) == -(u * sc(1))
     assert psi[3].subs({"v": GE.zero(W)}) == -(u * z(1))
@@ -389,3 +390,35 @@ def test_puncture_with_zero_body_rejected():
     with pytest.raises(ValueError):
         ModuliPoint(2, [(z(1) * z(2), z(3))], InfCoordData(),
                     [CoordData.identity(W)] * 2, W)
+
+
+def _mark_inline(q, name):
+    """The marking ``ModuliPoint.mark`` used to write out by hand, kept as
+    the reference for ``scale_marker``."""
+    g = GE.evar(name, 1, q.width)
+    return ModuliPoint(q.n, q.punctures,
+                       InfCoordData({j: g * v for j, v in q.inf.A.items()},
+                                    {r2: g * v for r2, v in q.inf.M.items()}),
+                       [CoordData(c.asqrt,
+                                  {j: g * v for j, v in c.A.items()},
+                                  {r2: g * v for r2, v in c.M.items()})
+                        for c in q.coords],
+                       q.width, validate=False)
+
+
+def test_mark_then_unmark_is_identity():
+    rng = random.Random(43)
+    points = [zero_tube_point(), ModuliPoint.unit(W),
+              # entries without zeta's
+              ModuliPoint.one_tube(InfCoordData({2: sc(3)}, {}),
+                                   CoordData(sc(2), {1: sc(-1)}), W)]
+    points += [random_sk1(rng) for _ in range(3)]
+    points += [random_sk2(rng) for _ in range(3)]
+    points += [random_sk3(rng) for _ in range(3)]
+    for q in points:
+        marked = q.mark("g")
+        assert marked == _mark_inline(q, "g")
+        unmarked = (not q.inf.A and not q.inf.M
+                    and all(not c.A and not c.M for c in q.coords))
+        assert (marked == q) == unmarked
+        assert marked.subs({"g": 1}) == q
