@@ -18,6 +18,11 @@ body  = coefficient of the completely empty monomial;
 soul  = everything else;
 an element with no even indeterminates is invertible iff its body is nonzero,
 and then 1/a = sum_n (-1)^n a_S^n / a_B^(n+1), a finite sum by nilpotency.
+
+A product may be cut at a weighted degree: ``a.mul(b, (weights, cap))`` is
+``(a * b).truncate(weights, cap)``, but since weights add under the product
+it never forms a pair of terms whose weights sum past the cap (truncated
+power-series arithmetic, as in Brent & Kung, J. ACM 25, 1978).
 """
 
 from fractions import Fraction
@@ -88,6 +93,34 @@ def key_weight(key, weights):
         if wt:
             w += wt
     return w
+
+
+def _by_weight(t, cuts):
+    """The terms of a table grouped by their weighted degrees under the
+    (weights, cap) pairs of ``cuts``, as a list of ((w1, w2, ...), [(key,
+    value), ...]) sorted by weight, so w1 ascends."""
+    wts = [weights for weights, _ in cuts]
+    groups = {}
+    for key, val in t.items():
+        w = tuple([key_weight(key, weights) for weights in wts])
+        groups.setdefault(w, []).append((key, val))
+    return sorted(groups.items())
+
+
+def _blocks_within(ta, tb, cut):
+    """The pairs (group of ta, group of tb) of ``_by_weight`` groups whose
+    weights sum within every cap of ``cut``, one (weights, cap) pair or a
+    list of them."""
+    cuts = [cut] if isinstance(cut, tuple) else cut
+    caps = [cap for _, cap in cuts]
+    gb = _by_weight(tb, cuts)
+    for wa, la in _by_weight(ta, cuts):
+        for wb, lb in gb:
+            over = [a + b > cap for a, b, cap in zip(wa, wb, caps)]
+            if over[0]:
+                break  # gb runs through the first weight upwards
+            if not any(over):
+                yield la, lb
 
 
 EMPTY_KEY = ((), ())
@@ -180,28 +213,37 @@ class GrassmannElement:
     def __rsub__(self, other):
         return self.lift(other) + (-self)
 
-    def __mul__(self, other):
+    def mul(self, other, cut=None):
+        """The product, cut when ``cut`` is a (weights, cap) pair or a list
+        of them: ``a.mul(b, cut) == (a * b).truncate(*cut)`` for one pair,
+        and the same at every pair of a list.  Weights add under the product,
+        so a pair of terms whose weights sum past a cap is never formed."""
         other = self.lift(other)
         width = self._join_width(other)
+        if cut:
+            blocks = _blocks_within(self.t, other.t, cut)
+        else:
+            blocks = ((self.t.items(), other.t.items()),)
         t = {}
-        for (ea, oa), va in self.t.items():
-            for (eb, ob), vb in other.t.items():
-                odds, sign = _merge_odds(oa, ob)
-                if odds is None:
-                    continue
-                key = (_merge_evens(ea, eb), odds)
-                val = va * vb
-                if sign < 0:
-                    val = -val
-                cur = t.get(key)
-                val = cur + val if cur is not None else val
-                if val:
-                    t[key] = val
-                else:
-                    t.pop(key, None)
+        for ta, tb in blocks:
+            for (ea, oa), va in ta:
+                for (eb, ob), vb in tb:
+                    odds, sign = _merge_odds(oa, ob)
+                    if odds is None:
+                        continue
+                    key = (_merge_evens(ea, eb), odds)
+                    val = va * vb
+                    if sign < 0:
+                        val = -val
+                    cur = t.get(key)
+                    val = cur + val if cur is not None else val
+                    if val:
+                        t[key] = val
+                    else:
+                        t.pop(key, None)
         return GrassmannElement(width, t)
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = mul
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -334,9 +376,7 @@ class GrassmannElement:
         acc = GrassmannElement.one(self.width)
         term = GrassmannElement.one(self.width)
         for _ in range(bound):
-            term = -(term * s)
-            if trunc is not None:
-                term = term.truncate(*trunc)
+            term = -term.mul(s, trunc)
             if not term:
                 break
             acc = acc + term
@@ -396,25 +436,15 @@ class GrassmannElement:
         mapping keys: even var names or odd generator ids.  Values must have
         matching parity.  Negative powers of a substituted even var use
         ``inverses[name]`` when provided, else ``value.inverse()``.
-        ``truncs``: optional list of (weights, cap) pairs applied to every
-        partial product (callers guarantee soundness of each cut).
+        ``truncs``: optional list of (weights, cap) pairs; every partial
+        product is cut at each (callers guarantee soundness of each cut).
+        Each power of a substituted value (or of its inverse) is built once,
+        as the cut product of the power below it with the value.
         """
         inverses = inverses or {}
-        cuts = list(truncs) if truncs else []
-
-        def cut(x):
-            for weights, cap in cuts:
-                x = x.truncate(weights, cap)
-            return x
-
-        def pow_cut(base, e):
-            outp = GrassmannElement.one(self.width)
-            for _ in range(e):
-                outp = cut(outp * base)
-            return outp
-
+        cut = list(truncs) if truncs else None
         out = GrassmannElement.zero(self.width)
-        pow_cache = {}
+        ladders = {}
         for (evens, odds), val in self.t.items():
             acc = GrassmannElement.scalar(val, self.width)
             keep_evens = []
@@ -422,25 +452,22 @@ class GrassmannElement:
                 if name not in mapping:
                     keep_evens.append((name, exp))
                     continue
-                ck = (name, exp)
-                f = pow_cache.get(ck)
-                if f is None:
+                ladder = ladders.get((name, exp > 0))
+                if ladder is None:
                     base = self.lift(mapping[name])
-                    if exp >= 0:
-                        f = pow_cut(base, exp) if cuts else base ** exp
-                    else:
-                        binv = inverses.get(name)
-                        if binv is None:
-                            binv = base.inverse()
-                        f = pow_cut(binv, -exp) if cuts else binv ** (-exp)
-                    pow_cache[ck] = f
-                acc = cut(acc * f)
+                    if exp < 0:
+                        inv = inverses.get(name)
+                        base = base.inverse() if inv is None else inv
+                    ladder = ladders[name, exp > 0] = [base]
+                while len(ladder) < abs(exp):
+                    ladder.append(ladder[-1].mul(ladder[0], cut))
+                acc = acc.mul(ladder[abs(exp) - 1], cut)
             if keep_evens:
                 acc = acc * GrassmannElement(self.width,
                                              {(tuple(keep_evens), ()): GQ(1)})
             for oid in odds:
                 if oid in mapping:
-                    acc = cut(acc * self.lift(mapping[oid]))
+                    acc = acc.mul(mapping[oid], cut)
                 else:
                     acc = acc * GrassmannElement.ovar(oid, self.width)
             out = out + acc
@@ -475,9 +502,7 @@ def ge_exp(x, trunc=None):
     out = GrassmannElement.one(x.width)
     term = GrassmannElement.one(x.width)
     for n in range(1, 201):
-        term = term * x * GQ(Fraction(1, n))
-        if trunc is not None:
-            term = term.truncate(*trunc)
+        term = term.mul(x, trunc) * GQ(Fraction(1, n))
         if not term:
             return out
         out = out + term
@@ -492,9 +517,7 @@ def ge_log(x, trunc=None):
     out = GrassmannElement.zero(x.width)
     term = GrassmannElement.one(x.width)
     for n in range(1, 201):
-        term = term * s
-        if trunc is not None:
-            term = term.truncate(*trunc)
+        term = term.mul(s, trunc)
         if not term:
             return out
         out = out + term * GQ(Fraction((-1) ** (n + 1), n))

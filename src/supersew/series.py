@@ -151,7 +151,9 @@ class SuperSeries:
             if other.nmax is not None:
                 s_min = self.support_min()
                 nm2 = None if s_min is None else other.nmax + s_min
-            return SuperSeries(self.el * other.el, _min_none(nm, nm2))
+            nm = _min_none(nm, nm2)
+            return SuperSeries(self.el.mul(other.el, None if nm is None
+                                           else ({XVAR: 1}, nm)), nm)
         return self.clone(el=self.el * other)
 
     def __rmul__(self, other):
@@ -450,16 +452,23 @@ class SuperMap:
             margin = abs(h.support_min()) + 1
             inv, inv_exact = _series_inverse_el(ev, wcap=wcap, trunc=trunc,
                                                 margin=margin)
-        truncs = None
-        if trunc is not None and _cuts_sound(
-                h, trunc[0], [ev.el, od.el] + ([] if inv is None else [inv])):
-            truncs = [trunc]
+        substituted = [ev.el, od.el] + ([] if inv is None else [inv])
+        truncs = []
+        x_cut = wcap is not None and _cuts_sound(h, {XVAR: 1}, substituted)
+        if x_cut:
+            truncs.append(({XVAR: 1}, wcap))
+        if trunc is not None and _cuts_sound(h, trunc[0], substituted):
+            truncs.append(trunc)
         el = h.el.subs({XVAR: ev.el, PHI: od.el},
                        inverses=None if inv is None else {XVAR: inv},
-                       truncs=truncs)
+                       truncs=truncs or None)
         if trunc is not None:
             el = el.truncate(*trunc)
         nmax = _compose_window(h, ev, od, wcap if not inv_exact else None)
+        if x_cut:
+            # the terms above wcap were never formed, so the cut to wcap
+            # below cannot see that it drops any
+            nmax = _min_none(nmax, wcap)
         out = SuperSeries(el, nmax)
         if wcap is not None:
             out = out.truncate_x(wcap)
@@ -568,14 +577,12 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     xw = {XVAR: 1}
     pruned = False
     for _ in range(cap_iter):
-        term = -(term * delta)
+        term = -term.mul(delta, trunc)
         if prune_x:
             cut = term.truncate(xw, bound)
             if cut.t != term.t:
                 pruned = True
             term = cut
-        if trunc is not None:
-            term = term.truncate(*trunc)
         if not term:
             break
         acc = acc + term
@@ -591,8 +598,8 @@ def _cuts_sound(h, weights, substituted):
     has the part of any term of h that subs multiplies in unchanged (its
     other even powers together, and each other odd generator).  A partial
     product above the cap then stays above it, so the final cut keeps the
-    same terms.  The x-window is no such grading: negative powers of x lower
-    the x-degree, so it is never cut early."""
+    same terms.  With weights {XVAR: 1} this is the x-window: it may be cut
+    early only when no substituted element has a negative power of x."""
     for el in substituted:
         lo = el.wdegree_min(weights)
         if lo is not None and lo < 0:

@@ -9,8 +9,11 @@ variables, and there is one path for it.  Mark: ``scale_marker`` (through
 variable ("g" for sewing and the S_n action, "u" and "v" for the two sides
 of the sewing factorization).  Cut: every product is truncated at a total
 degree in the variables, the ``trunc`` pair (weights, cap) passed down the
-stack.  Unmark: ``subs`` sets the variables back to 1.  Every series computed
-here is then a finite Laurent polynomial, except for expansions of powers of
+stack; a map composition whose substituted series carry no negative power of
+x is also cut at its x-window ``wcap``.  Both cuts go into the product
+(``GrassmannElement.mul``), so no term past either is formed.  Unmark:
+``subs`` sets the variables back to 1.  Every series computed here is then a
+finite Laurent polynomial, except for expansions of powers of
 (w + invertible), which carry an explicit exactness window in the series
 variable.
 """
@@ -226,8 +229,7 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
     vac = mod.vacuum_key()
     w0 = lhs.t.get(vac, GE.zero(w))
     u0 = rhs.t.get(vac, GE.zero(w))
-    ratio = w0 * u0.inverse(trunc)
-    ratio = ratio.truncate(*trunc)
+    ratio = w0.mul(u0.inverse(trunc), trunc)
     gc = ge_log(ratio, trunc)
     for (evens, _odds) in gc.t:
         if dict(evens).get("c", 0) != 1:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from supersew.scalars import GQ
 from supersew.grassmann import (GrassmannElement as GE, NotInvertible,
-                                WidthMismatch)
+                                WidthMismatch, _merge_evens, _merge_odds,
+                                key_weight)
 
 W = 6
 
@@ -232,3 +233,129 @@ def test_odd_square_vanishes_for_any_odd_element():
                 t = t * z(i)
             el = el + t
         assert el * el == GE.zero(W)
+
+
+def product_by_one_loop(a, b):
+    """The product as one loop over all pairs of terms, kept as the
+    reference for ``mul`` without a cut."""
+    t = {}
+    for (ea, oa), va in a.t.items():
+        for (eb, ob), vb in b.t.items():
+            odds, sign = _merge_odds(oa, ob)
+            if odds is None:
+                continue
+            key = (_merge_evens(ea, eb), odds)
+            val = va * vb
+            if sign < 0:
+                val = -val
+            cur = t.get(key)
+            val = cur + val if cur is not None else val
+            if val:
+                t[key] = val
+            else:
+                t.pop(key, None)
+    return GE(W, t)
+
+
+CUT_ODD_IDS = [("m", 1), ("ph", 0), ("z", 1), ("z", 2), ("z", 3)]
+CUT_WEIGHTS = [
+    {"x": 1},
+    {"u": 1, "x": -2},
+    {"z": 1},
+    {("z", 2): 3, "u": -1},
+    {("ph", 0): -1, "z": 1, "x": 1},
+]
+
+
+def random_laurent_element(rng):
+    """Terms with Laurent exponents in x and u and odd ids of three groups;
+    few odd ids, so that products often collide."""
+    t = {}
+    for _ in range(rng.randrange(0, 7)):
+        evens = tuple((n, e) for n, e in (("u", rng.randrange(-3, 4)),
+                                          ("x", rng.randrange(-3, 4))) if e)
+        odds = tuple(sorted(rng.sample(CUT_ODD_IDS, rng.randrange(0, 3))))
+        val = GQ(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
+                 rng.randrange(-1, 2))
+        if val:
+            t[(evens, odds)] = val
+    return GE(W, t)
+
+
+def test_cut_product_matches_truncated_product():
+    rng = random.Random(23)
+    for _ in range(250):
+        a, b = random_laurent_element(rng), random_laurent_element(rng)
+        full = a * b
+        assert list(full.t.items()) == \
+            list(product_by_one_loop(a, b).t.items())
+        assert list(a.mul(b, None).t.items()) == list(full.t.items())
+        cuts = []
+        for weights in CUT_WEIGHTS:
+            ws = sorted({key_weight(k, weights)
+                         for el in (a, b, full) for k in el.t}) or [0]
+            # caps below, inside and above every weight
+            for cap in {ws[0] - 1, ws[len(ws) // 2], ws[-1], ws[-1] + 1}:
+                cut = (weights, cap)
+                assert a.mul(b, cut) == full.truncate(*cut)
+                cuts.append(cut)
+        pair = rng.sample(cuts, 2)
+        assert a.mul(b, pair) == \
+            full.truncate(*pair[0]).truncate(*pair[1])
+
+
+def subs_by_pow_cut(el, mapping, inverses, truncs):
+    """``subs`` building every power afresh, one cut product at a time, kept
+    as the reference for the power ladder."""
+    def cut(x):
+        for weights, cap in truncs:
+            x = x.truncate(weights, cap)
+        return x
+
+    def pow_cut(base, e):
+        outp = GE.one(W)
+        for _ in range(e):
+            outp = cut(outp * base)
+        return outp
+
+    out = GE.zero(W)
+    for (evens, odds), val in el.t.items():
+        acc = GE.scalar(val, W)
+        keep_evens = []
+        for name, exp in evens:
+            if name not in mapping:
+                keep_evens.append((name, exp))
+                continue
+            base = mapping[name] if exp > 0 else inverses[name]
+            acc = cut(acc * pow_cut(base, abs(exp)))
+        if keep_evens:
+            acc = acc * GE(W, {(tuple(keep_evens), ()): GQ(1)})
+        for oid in odds:
+            acc = cut(acc * (mapping[oid] if oid in mapping
+                             else GE.ovar(oid, W)))
+        out = out + acc
+    return out
+
+
+def test_subs_power_ladder_matches_pow_cut():
+    rng = random.Random(29)
+    u, x = GE.evar("u", 1, W), GE.evar("x", 1, W)
+    th = ("th", 0)
+    for _ in range(12):
+        # x -> c0 + c1 x + u zeta_i zeta_j, invertible with no negative
+        # power of x or u in it or in its inverse
+        val = GE.scalar(rng.choice([2, -3]), W) + x * rng.choice([1, -2]) + \
+            u * z(rng.randrange(1, 4)) * z(rng.randrange(4, 7))
+        trunc = ({"u": 1}, 1)
+        inv = val.inverse(({"x": 1}, 12))
+        truncs = [({"x": 1}, rng.randrange(3, 9)), trunc]
+        h = GE.zero(W)
+        for e in range(-4, 7):
+            term = GE.evar("x", e, W) * GQ(rng.randrange(1, 4))
+            if rng.random() < 0.5:
+                term = term * GE.ovar(th, W) * u
+            h = h + term
+        mapping = {"x": val, th: z(rng.randrange(1, 7))}
+        got = h.subs(mapping, inverses={"x": inv}, truncs=truncs)
+        assert got == subs_by_pow_cut(h, mapping, {"x": inv}, truncs)
+        assert got.wdegree({"x": 1}) <= truncs[0][1]

@@ -484,3 +484,95 @@ def test_series_inverse_leading_step_matches_dict_reference():
         assert (inv * el).truncate(*trunc) == GE.one(W)
         assert inv.truncate(trunc[0], 0) == \
             GE.evar(XVAR, -m_ref, W) * c_ref.inverse(trunc)
+
+
+def product_by_prune(a, b):
+    """A product of series as the whole product of the tables, pruned at the
+    product's window: the reference for the cut product."""
+    nms = [s.nmax + o.support_min() for s, o in ((a, b), (b, a))
+           if s.nmax is not None and o.support_min() is not None]
+    return SuperSeries(a.el * b.el, min(nms) if nms else None)
+
+
+def test_series_product_window_matches_pruned_product():
+    rng = random.Random(43)
+    negative = one_exact = 0
+    for _ in range(400):
+        a, b = random_marked_series(rng), random_marked_series(rng)
+        got, want = a * b, product_by_prune(a, b)
+        assert got.el == want.el and got.nmax == want.nmax
+        negative += min(a.support_min() or 0, b.support_min() or 0) < 0
+        one_exact += (a.nmax is None) != (b.nmax is None)
+    assert negative > 100 and one_exact > 100
+
+
+def test_x_cut_composition_keeps_window():
+    # x^2 after (x + x^2, phi) is x^2 + 2x^3 + x^4; at wcap 2 the terms above
+    # x^2 are never formed, yet the result is known only through x^2
+    m = SuperMap(S({1: 1, 2: 1}), S({}, {0: 1}))
+    got = m.compose_series(S({2: 1}), wcap=2)
+    assert got == S({2: 1}, nmax=2)
+
+
+def _compose_uncut(monkeypatch, m, h, wcap, trunc):
+    from supersew import series
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_cuts_sound", lambda *args: False)
+        return m.compose_series(h, wcap=wcap, trunc=trunc)
+
+
+def _small(rng):
+    return GQ(rng.choice([-2, -1, 1, 2]), rng.randrange(-1, 2))
+
+
+def random_x_cut_case(rng, u):
+    """(map, h) with no negative power of x in the map or in the inverse of
+    its even component that h needs: either a shift x - z with a body in z
+    and h with negative powers, or a map vanishing at 0."""
+    graded = u * z(rng.randrange(1, 3)) * z(rng.randrange(3, 5))
+    if rng.random() < 0.5:
+        zz = GE.scalar(rng.choice([2, -3]), W) + z(1) * z(2)
+        th = z(rng.randrange(3, 7))
+        m = SuperMap.shift(zz, th)
+        m = SuperMap(m.ev + S({2: graded}), m.od + S({1: u * z(5)}))
+        h = S({n: _small(rng) for n in rng.sample(range(-3, 4), 4)},
+              {n: _small(rng) * z(6) for n in rng.sample(range(-2, 3), 2)})
+    else:
+        m = SuperMap(S({1: _small(rng), 2: _small(rng) + graded,
+                        3: _small(rng)}, {1: z(rng.randrange(1, 7))}),
+                     S({1: u * z(3)}, {0: 1, 1: _small(rng)}))
+        h = S({n: _small(rng) for n in rng.sample(range(0, 6), 3)},
+              {n: _small(rng) for n in rng.sample(range(0, 4), 2)},
+              nmax=rng.choice([None, 5, 7]))
+    return m, h
+
+
+def test_compose_series_x_cut_matches_uncut(monkeypatch):
+    rng = random.Random(47)
+    u = GE.evar("u", 1, W)
+    for _ in range(24):
+        m, h = random_x_cut_case(rng, u)
+        wcap = rng.randrange(4, 9)
+        trunc = rng.choice([None, ({"u": 1}, 1)])
+        want = _compose_uncut(monkeypatch, m, h, wcap, trunc)
+        with monkeypatch.context() as mp:
+            seen = _record_subs_truncs(mp)
+            got = m.compose_series(h, wcap=wcap, trunc=trunc)
+        assert ({XVAR: 1}, wcap) in seen[0]
+        assert got.el == want.el
+        # the cut cannot see whether it dropped a term above wcap
+        assert got.nmax == (wcap if want.nmax is None else want.nmax)
+    # nothing above wcap: the uncut result is exact, the cut one known
+    # through wcap, which is narrower and sound
+    m = SuperMap(S({1: 2}), S({}, {0: 1}))
+    h = S({1: 1}, {0: 1})
+    assert _compose_uncut(monkeypatch, m, h, 4, None).nmax is None
+    assert m.compose_series(h, wcap=4) == S({1: 2}, {0: 1}, nmax=4)
+    # 1/(x + x^2) = x^-1 (1 - x + ...) has a negative power of x
+    m = SuperMap(S({1: 1, 2: 1}), S({}, {0: 1}))
+    h = S({-2: 1, 1: 3})
+    want = _compose_uncut(monkeypatch, m, h, 5, None)
+    seen = _record_subs_truncs(monkeypatch)
+    got = m.compose_series(h, wcap=5)
+    assert seen == [None]
+    assert got == want
