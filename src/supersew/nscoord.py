@@ -169,8 +169,10 @@ def e_hat_inv(H, order, trunc=None, check=True):
     WindowError when H is not exact through the requested order and
     ValueError when H is visibly not of the required shape (nonzero value
     at 0, stray pure-x coefficients that no datum can produce, non-invertible
-    leading coefficient).  With ``check`` that shape test rebuilds the
-    series of the recovered datum once with ``e_hat`` and compares.
+    leading coefficient).  The read-off matches the other pure-x
+    coefficients through x^order by construction; with ``check``,
+    ``_check_phi_parts`` tests the phi-parts at x^0 .. x^(order-1) (the one
+    at x^order involves the unsolved index-order entries).
     """
     ev, od = H.ev, H.od
     for comp in (ev, od):
@@ -184,19 +186,11 @@ def e_hat_inv(H, order, trunc=None, check=True):
         raise ValueError("odd component has a constant term")
     if _cut(a2i * ev.f_coeff(1) - GE.one(H.width), trunc):
         raise ValueError("x-coefficient of the even part is not asqrt^2")
-    res, _ = _read_off(H, range(1, 2 * order), trunc, (a2i, ai))
+    res, sl = _read_off(H, range(1, 2 * order), trunc, (a2i, ai))
+    if check:
+        _check_phi_parts(H, sl, range(0, order), trunc, (a2i, ai))
     A = {s // 2: v for s, v in res.items() if s % 2 == 0}
     M = {s: v for s, v in res.items() if s % 2}
-    if check:
-        full = e_hat(CoordData(asqrt, A, M), order=order, trunc=trunc)
-        # the phi-part at x^order already involves the unsolved index-order
-        # entries, so the shape test stops one slot short
-        for n in range(0, order):
-            de = _cut(full.ev.coeff_x(n) - ev.coeff_x(n), trunc)
-            do = _cut(full.od.coeff_x(n) - od.coeff_x(n), trunc)
-            if de or do:
-                raise ValueError("series is not superconformal of coordinate "
-                                 "shape at x^%d" % n)
     return CoordData(asqrt, A, M)
 
 
@@ -236,8 +230,8 @@ def e_inf_inv(H, idxcap, trunc, check=True):
     the slices it builds are exact at every degree read, so no lower window
     is needed.  The highest degree read is x^0, so H must be exact through
     it (else WindowError).  With ``check`` the phi-parts at x^0 .. x^(1-idxcap),
-    which the read-off does not use, must match those slices too (else
-    ValueError).
+    which the read-off does not use, must match those slices too
+    (``_check_phi_parts``, else ValueError).
     """
     for comp in (H.ev, H.od):
         comp.require_window(0)
@@ -245,17 +239,28 @@ def e_inf_inv(H, idxcap, trunc, check=True):
     A0 = {-s // 2: -v for s, v in res.items() if s % 2 == 0}
     M0 = {-s: -v for s, v in res.items() if s % 2}
     if check:
-        for k, comp in enumerate((H.ev, H.od)):
-            for n in range(0, -idxcap, -1):
-                got = sl.slice(k, 2 * n + 1).g_coeff(n)
-                if _cut(comp.g_coeff(n) - got, trunc):
-                    raise ValueError("map is not of negative-index "
-                                     "exponential shape at degree %d" % n)
+        _check_phi_parts(H, sl, range(0, -idxcap, -1), trunc)
     return InfCoordData(A0, M0)
 
 
 def _cut(el, trunc):
     return el if trunc is None else el.truncate(*trunc)
+
+
+def _scaled(h, c):
+    return h if c is None else c * h
+
+
+def _check_phi_parts(H, sl, degrees, trunc, scale=(None, None)):
+    """Raise ValueError unless the phi-part of each component of H at x^n,
+    for n in ``degrees`` (times ``scale`` of that component when given),
+    matches the weight-(2n+1) slice that ``_read_off`` built in ``sl``."""
+    for k, comp in enumerate((H.ev, H.od)):
+        for n in degrees:
+            got = sl.slice(k, 2 * n + 1).g_coeff(n)
+            if _cut(_scaled(comp.g_coeff(n), scale[k]) - got, trunc):
+                raise ValueError("series is not of exponential shape in its "
+                                 "phi-part at x^%d" % n)
 
 
 class _ExpSlices:
@@ -344,9 +349,7 @@ def _read_off(H, slots, trunc, scale=(None, None)):
         comp = s % 2
         w = sl.w0[comp] + s
         sl.extend(comp, w)
-        h = (H.ev, H.od)[comp].f_coeff(w // 2)
-        if scale[comp] is not None:
-            h = scale[comp] * h
+        h = _scaled((H.ev, H.od)[comp].f_coeff(w // 2), scale[comp])
         r = _cut(h - sl.slice(comp, w).f_coeff(w // 2), trunc)
         if r:
             res[s] = r

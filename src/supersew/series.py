@@ -497,7 +497,11 @@ class SuperMap:
 
     def inverse_at_zero(self, order, trunc=None):
         """Compositional inverse of a map vanishing at 0 with invertible
-        linear part, exact through x-degree <= order."""
+        linear part, exact through x-degree <= order.
+
+        A general fixed-point iteration, kept as the tests' reference: the
+        sewing stack inverts its exponential maps in closed form, since
+        exp(D).(x, phi) has the inverse exp(-D).(x, phi)."""
         a2 = self.ev.f_coeff(1)
         b = self.od.g_coeff(0)
         a2i = a2.inverse(trunc)
@@ -524,7 +528,8 @@ class SuperMap:
         """Compositional inverse of id + (graded-small corrections).
 
         The corrections must have positive degree under ``trunc`` weights so
-        the iteration terminates at the cap.
+        the iteration terminates at the cap.  A general fixed-point
+        iteration, kept as the tests' reference, as ``inverse_at_zero`` is.
         """
         w = self.width
         k = SuperMap.identity(w)

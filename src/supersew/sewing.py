@@ -150,45 +150,35 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
 
     psi = {}
 
-    def rhs_map():
+    def residual():
         hm = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0 and c],
                         w, trunc=trunc)
         hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
                         w, trunc=trunc)
-        p0 = psi.get(0, GE.zero(w))
-        e2 = ge_exp(-2 * p0, trunc)
-        e1 = ge_exp(-p0, trunc)
-        h0 = SuperMap(SuperSeries(e2 * GE.evar(XVAR, 1, w)),
-                      SuperSeries(e1 * GE.ovar(PHI, w)))
-        return hm.then(hp, trunc=trunc).then(h0, trunc=trunc) \
-                 .then(h_alpha, trunc=trunc)
+        h0 = SuperMap.dilation(ge_exp(-psi.get(0, GE.zero(w)), trunc))
+        r = hm.then(hp, trunc=trunc).then(h0, trunc=trunc) \
+              .then(h_alpha, trunc=trunc)
+        return SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
 
-    for _d in range(1, degree_cap + 1):
-        r = rhs_map()
-        delta_ev = (lhs.ev - r.ev).clone()
-        delta_ev = delta_ev.clone(el=delta_ev.el.truncate(*trunc))
-        delta_od = (lhs.od - r.od).clone()
-        delta_od = delta_od.clone(el=delta_od.el.truncate(*trunc))
-        if not delta_ev.el and not delta_od.el:
-            break
+    # degree_cap updates, each fixing one more degree, then a final check
+    for d in range(degree_cap + 1):
+        delta = residual()
+        if not delta.ev.el and not delta.od.el:
+            return {j2: c for j2, c in psi.items() if c}
+        if d == degree_cap:
+            raise SewError("sewing factorization did not close: %r" % delta)
         for j in range(-jmax, jmax + 1):
-            ce = delta_ev.f_coeff(j + 1)
+            ce = delta.ev.f_coeff(j + 1)
             if ce:
                 upd = -(a2i * ce)
                 if j == 0:
                     upd = upd * GQ(Fraction(1, 2))
                 psi[2 * j] = (psi.get(2 * j, GE.zero(w)) + upd) \
                     .truncate(*trunc)
-            co = delta_od.f_coeff(j)
+            co = delta.od.f_coeff(j)
             if co:
                 psi[2 * j - 1] = (psi.get(2 * j - 1, GE.zero(w)) - ai * co) \
                     .truncate(*trunc)
-    r = rhs_map()
-    for comp in ("ev", "od"):
-        resid = (getattr(lhs, comp).el - getattr(r, comp).el).truncate(*trunc)
-        if resid:
-            raise SewError("sewing factorization did not close: %r" % resid)
-    return {j2: c for j2, c in psi.items() if c}
 
 
 def solve_gamma(asqrt, A, M, B, N, degree_cap):
@@ -267,14 +257,11 @@ def theta1(asqrt, A, M, point, order, idxcap=None, finalize=True,
     if idxcap is None:
         idxcap = order * jmax + 1
     z, th = point
-    korder = 1 + order * jmax + 2
     h1 = e_hat(d, trunc=trunc)
-    k = h1.inverse_at_zero(order=korder, trunc=trunc)
-    if (k.ev.support_max() or 0) > korder - 1 or \
-            (k.od.support_max() or 0) > korder - 1:
-        raise SewError("inverse window too small for the requested order")
-    k = SuperMap(k.ev.clone(nmax=None), k.od.clone(nmax=None))
     ai = asqrt.inverse(trunc)
+    # e_tilde exponentiates the negated terms, so its inverse uses them as is
+    k = SuperMap.dilation(ai).then(exp_ns_map(ns_terms(d.A, d.M), w,
+                                              trunc=trunc), trunc=trunc)
     zt, tht = k.eval_at(z, th, trunc=trunc)
     wcap = idxcap + 2
     chain = SuperMap.dilation(ai)
@@ -314,7 +301,8 @@ def theta2(B, N, point, order, idxcap=None, finalize=True, as_data=False):
         idxcap = order * (max_index((inf.A, inf.M)) or 1) + 1
     z, th = point
     hd = inf_exp_map(inf.A, inf.M, trunc, width=w)
-    hdi = hd.inverse_graded(trunc)
+    hdi = exp_ns_map(ns_terms(inf.A, inf.M, negate=True, raising=True), w,
+                     trunc=trunc)
     zi = z.inverse()
     zt, tht = hdi.eval_at(z, th, zinv=zi, trunc=trunc)
     wcap = idxcap + 2
@@ -389,11 +377,12 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     ai = d_i.asqrt.inverse(trunc)
     zero = GE.zero(w)
 
-    # F1 = fbar1 o s_(z_i, theta_i) on Q1's side
-    fbar1 = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0], w,
-                       trunc=trunc)
+    # F1 = fbar1 o s_(z_i, theta_i) on Q1's side, inverted by negating terms
+    psiminus = [(j2, c) for j2, c in psi.items() if j2 < 0]
+    fbar1 = exp_ns_map(psiminus, w, trunc=trunc)
     zi, thi = Q1.puncture(i)
-    f1_inv = fbar1.inverse_graded(trunc).then(SuperMap.shift_inverse(zi, thi))
+    f1_inv = exp_ns_map([(j2, -c) for j2, c in psiminus], w, trunc=trunc) \
+        .then(SuperMap.shift_inverse(zi, thi))
 
     def f1_eval(pt):
         z, th = (zero, zero) if pt is None else pt
@@ -401,14 +390,10 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
 
     # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
     p0 = psi.get(0, zero)
-    psiplus_A = {j2 // 2: c for j2, c in psi.items() if j2 > 0 and j2 % 2 == 0}
-    psiplus_M = {j2: c for j2, c in psi.items() if j2 > 0 and j2 % 2 == 1}
-    tilde_plus = e_tilde(psiplus_A, psiplus_M, trunc=trunc, width=w)
-    scale0_inv = SuperMap(
-        SuperSeries(ge_exp(-2 * p0, trunc) * GE.evar(XVAR, 1, w)),
-        SuperSeries(ge_exp(-p0, trunc) * GE.ovar(PHI, w)))
-    f2_inv = tilde_plus.inverse_graded(trunc) \
-        .then(SuperMap.dilation(d_i.asqrt)).then(scale0_inv, trunc=trunc)
+    psiplus = [(j2, c) for j2, c in psi.items() if j2 > 0]
+    tilde_plus = exp_ns_map([(j2, -c) for j2, c in psiplus], w, trunc=trunc)
+    f2_inv = exp_ns_map(psiplus, w, trunc=trunc).then(
+        SuperMap.dilation(d_i.asqrt * ge_exp(-p0, trunc)), trunc=trunc)
 
     def f2_eval(pt):
         # F2 fixes the origin, where Q2's last tube is pinned

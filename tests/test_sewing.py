@@ -5,11 +5,12 @@ import pytest
 
 from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE, ge_exp
-from supersew.nscoord import CoordData, InfCoordData, e_hat, inf_exp_map
+from supersew.nscoord import (CoordData, InfCoordData, e_hat, inf_exp_map,
+                              ns_terms)
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
                              solve_psi, tangent_functional,
                              tangent_functional_closed_form, theta1, theta2)
-from supersew.series import SuperMap
+from supersew.series import SuperMap, exp_ns_map
 
 W = 8
 
@@ -422,3 +423,71 @@ def test_mark_then_unmark_is_identity():
                     and all(not c.A and not c.M for c in q.coords))
         assert (marked == q) == unmarked
         assert marked.subs({"g": 1}) == q
+
+
+def test_exponential_maps_invert_by_negating_their_terms():
+    # exp(D) with D an even derivation is an automorphism of the truncated
+    # ring, so exp(D).(x, phi) has the inverse exp(-D).(x, phi): the closed
+    # form sewing uses, against the iterative inverses
+    rng = random.Random(47)
+    trunc = ({"g": 1}, 2)
+    ident = SuperMap.identity(W)
+
+    def even():
+        return sc(rng.randrange(-2, 3)) + rng.randrange(-1, 2) * z(3) * z(4)
+
+    def odd():
+        return rng.randrange(-2, 3) * z(5) + rng.randrange(-1, 2) * z(6)
+    for _ in range(2):
+        d = CoordData(sc(rng.randrange(1, 3)) + z(1) * z(2),
+                      {1: even(), 2: even()},
+                      {1: z(7) + odd(), 3: odd()}).scale_marker("g")
+        # the bodyful L_{-1} entry is a shift
+        inf = InfCoordData({1: sc(1) + even(), 2: even()},
+                           {1: z(8) + odd(), 3: odd()}).scale_marker("g")
+        for family in ([(d, False)], [(inf, True)], [(d, False), (inf, True)]):
+            terms = [t for c, r in family
+                     for t in ns_terms(c.A, c.M, raising=r)]
+            neg = [t for c, r in family
+                   for t in ns_terms(c.A, c.M, negate=True, raising=r)]
+            f = exp_ns_map(terms, W, trunc=trunc)
+            f_inv = exp_ns_map(neg, W, trunc=trunc)
+            assert f_inv == f.inverse_graded(trunc)
+            assert f.then(f_inv, trunc=trunc) == ident
+            assert f_inv.then(f, trunc=trunc) == ident
+            # one sign left unflipped gives no inverse
+            for i in (0, len(neg) - 1):
+                off = neg[:i] + [terms[i]] + neg[i + 1:]
+                assert f.then(exp_ns_map(off, W, trunc=trunc),
+                              trunc=trunc) != ident
+        # theta1's inverse of e_hat: dilation by 1/asqrt, then the
+        # exponential of the unnegated terms
+        ai = d.asqrt.inverse(trunc)
+        k = SuperMap.dilation(ai).then(exp_ns_map(ns_terms(d.A, d.M), W,
+                                                  trunc=trunc), trunc=trunc)
+        korder = 1 + 2 * 2 + 2
+        ref = e_hat(d, trunc=trunc).inverse_at_zero(order=korder, trunc=trunc)
+        assert k.ev.nmax is None and k.od.nmax is None
+        assert max(k.ev.support_max(), k.od.support_max()) < korder
+        assert (k.ev.el, k.od.el) == (ref.ev.el, ref.od.el)
+
+
+def test_sewing_path_uses_no_iterative_inverse(monkeypatch):
+    def refuse(*_args, **_kw):
+        raise AssertionError("iterative inverse on the sewing path")
+    monkeypatch.setattr(SuperMap, "inverse_graded", refuse)
+    monkeypatch.setattr(SuperMap, "inverse_at_zero", refuse)
+    zz = sc(2) + z(1) * z(2)
+    th = z(3)
+    a = sc(1) + z(4) * z(5)
+    # data on both sides of the seam, so psi has entries of both signs and
+    # an L_0 entry; Q2's first tube is read through the inverse of F2
+    q1 = ModuliPoint.one_tube(InfCoordData({2: sc(1)}, {1: z(2)}),
+                              CoordData(a, {1: sc(2)}, {1: z(6)}), W)
+    q2 = ModuliPoint(2, [(sc(3), z(1))],
+                     InfCoordData({1: sc(1), 2: sc(-1)}, {1: z(7)}),
+                     [CoordData(sc(2), {2: sc(1)}, {3: z(8)}),
+                      CoordData.identity(W)], W)
+    assert sew(q1, 1, q2, degree_cap=2).n == 2
+    assert theta1(a, {1: sc(2)}, {1: z(6)}, (zz, th), order=2)
+    assert theta2({1: sc(1), 2: sc(-1)}, {1: z(7)}, (zz, th), order=2)
