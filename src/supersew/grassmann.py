@@ -436,22 +436,42 @@ class GrassmannElement:
         mapping keys: even var names or odd generator ids.  Values must have
         matching parity.  Negative powers of a substituted even var use
         ``inverses[name]`` when provided, else ``value.inverse()``.
-        ``truncs``: optional list of (weights, cap) pairs; every partial
-        product is cut at each (callers guarantee soundness of each cut).
-        Each power of a substituted value (or of its inverse) is built once,
-        as the cut product of the power below it with the value.
+        ``truncs``: optional list of (weights, cap) pairs; every product is
+        cut at each (callers guarantee soundness of each cut), so the result
+        is cut there too.
+
+        Each monomial splits into its substituted factor (the powers of the
+        mapped even vars and the mapped odd ids, in order) and the kept rest.
+        A kept odd id moves left past the substituted odd ids before it, one
+        sign flip each.  The kept rests of all monomials with one factor are
+        summed, and each distinct factor is built once (each power once, as
+        the cut product of the power below it with the value) and multiplied
+        by its kept sum once.
         """
         inverses = inverses or {}
         cut = list(truncs) if truncs else None
-        out = GrassmannElement.zero(self.width)
-        ladders = {}
+        groups = {}
         for (evens, odds), val in self.t.items():
-            acc = GrassmannElement.scalar(val, self.width)
-            keep_evens = []
-            for name, exp in evens:
-                if name not in mapping:
-                    keep_evens.append((name, exp))
-                    continue
+            sub_e = tuple(p for p in evens if p[0] in mapping)
+            keep_e = tuple(p for p in evens if p[0] not in mapping)
+            sub_o = []
+            keep_o = []
+            for oid in odds:
+                if oid in mapping:
+                    sub_o.append(oid)
+                else:
+                    keep_o.append(oid)
+                    if len(sub_o) & 1:
+                        val = -val
+            # the two parts determine the monomial, so no key repeats
+            groups.setdefault((sub_e, tuple(sub_o)), {})[
+                keep_e, tuple(keep_o)] = val
+        width = self.width
+        t = {}
+        ladders = {}
+        for (sub_e, sub_o), kept in groups.items():
+            factor = None
+            for name, exp in sub_e:
                 ladder = ladders.get((name, exp > 0))
                 if ladder is None:
                     base = self.lift(mapping[name])
@@ -461,17 +481,24 @@ class GrassmannElement:
                     ladder = ladders[name, exp > 0] = [base]
                 while len(ladder) < abs(exp):
                     ladder.append(ladder[-1].mul(ladder[0], cut))
-                acc = acc.mul(ladder[abs(exp) - 1], cut)
-            if keep_evens:
-                acc = acc * GrassmannElement(self.width,
-                                             {(tuple(keep_evens), ()): GQ(1)})
-            for oid in odds:
-                if oid in mapping:
-                    acc = acc.mul(mapping[oid], cut)
+                power = ladder[abs(exp) - 1]
+                factor = power if factor is None else factor.mul(power, cut)
+            for oid in sub_o:
+                value = self.lift(mapping[oid])
+                factor = value if factor is None else factor.mul(value, cut)
+            if factor is None:
+                factor = GrassmannElement.one(self.width)
+            piece = GrassmannElement(self.width, kept).mul(factor, cut)
+            if piece.width != width:
+                width = GrassmannElement(width, t)._join_width(piece)
+            for key, val in piece.t.items():
+                cur = t.get(key)
+                val = cur + val if cur is not None else val
+                if val:
+                    t[key] = val
                 else:
-                    acc = acc * GrassmannElement.ovar(oid, self.width)
-            out = out + acc
-        return out
+                    t.pop(key, None)
+        return GrassmannElement(width, t)
 
     # -- presentation ------------------------------------------------------
 

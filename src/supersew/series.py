@@ -15,7 +15,9 @@ the x-degree.
 A ``SuperMap`` is a pair (even component, odd component) used as a formal
 change of coordinates; composition substitutes one pair into another, with
 negative powers expanded in positive powers of the perturbation around an
-invertible leading monomial.
+invertible leading monomial.  The substitution builds each power and each
+product of substituted values once, for all terms of the outer series that
+share it; composing with the exact identity map forms no product at all.
 """
 
 from bisect import bisect_left
@@ -26,6 +28,8 @@ from .grassmann import GrassmannElement as GE, NotInvertible, key_weight
 
 XVAR = "x"
 PHI = ("ph", 0)
+_X_TABLE = {(((XVAR, 1),), ()): GQ(1)}
+_PHI_TABLE = {((), (PHI,)): GQ(1)}
 
 
 class WindowError(ValueError):
@@ -441,8 +445,18 @@ class SuperMap:
     # -- composition -------------------------------------------------------
 
     def compose_series(self, h, wcap=None, trunc=None):
-        """h o self: substitute this map into a single SuperSeries h."""
+        """h o self: substitute this map into a single SuperSeries h.
+
+        When this map is exactly the identity (x, phi), h o self = h, so h
+        cut by ``trunc`` and then at ``wcap`` is returned without forming a
+        product.  Its window is h's, narrowed only where ``truncate_x``
+        drops a term: sound, and never narrower than the substitution's."""
         ev, od = self.ev, self.od
+        if ev.nmax is None and od.nmax is None and ev.el.t == _X_TABLE \
+                and od.el.t == _PHI_TABLE:
+            el = h.el if trunc is None else h.el.truncate(*trunc)
+            out = SuperSeries(GE(h.el._join_width(ev.el), el.t), h.nmax)
+            return out if wcap is None else out.truncate_x(wcap)
         if h.nmax is not None and (ev.support_min() or 0) < 1:
             raise WindowError("windowed series can only be composed with "
                               "maps vanishing at the origin")

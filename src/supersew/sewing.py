@@ -143,10 +143,9 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
     a2i = ai * ai
 
     h_a = e_tilde(A, M, trunc=trunc, width=w)
-    h_alpha = SuperMap.dilation(asqrt)
     h_b = exp_ns_map(ns_terms(B, N, negate=True, raising=True), w,
                      trunc=trunc)
-    lhs = h_a.then(h_alpha).then(h_b, trunc=trunc)
+    lhs = h_a.then(SuperMap.dilation(asqrt)).then(h_b, trunc=trunc)
 
     psi = {}
 
@@ -155,9 +154,9 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
                         w, trunc=trunc)
         hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
                         w, trunc=trunc)
-        h0 = SuperMap.dilation(ge_exp(-psi.get(0, GE.zero(w)), trunc))
-        r = hm.then(hp, trunc=trunc).then(h0, trunc=trunc) \
-              .then(h_alpha, trunc=trunc)
+        # the L_0 factor and a^{-2L_0} make one dilation, as in sew's f2_inv
+        h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, GE.zero(w)), trunc))
+        r = hm.then(hp, trunc=trunc).then(h0, trunc=trunc)
         return SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
 
     # degree_cap updates, each fixing one more degree, then a final check

@@ -359,3 +359,93 @@ def test_subs_power_ladder_matches_pow_cut():
         got = h.subs(mapping, inverses={"x": inv}, truncs=truncs)
         assert got == subs_by_pow_cut(h, mapping, {"x": inv}, truncs)
         assert got.wdegree({"x": 1}) <= truncs[0][1]
+
+
+def _cut_at(el, truncs):
+    for weights, cap in truncs:
+        el = el.truncate(weights, cap)
+    return el
+
+
+def _grouped_subs_case(rng):
+    """(element, mapping, inverses, truncs): x and y substituted, x with
+    negative powers through ``inverses``; zeta_2 and zeta_4 substituted, so
+    a kept zeta_1 sits before them, a kept zeta_3 between and a kept zeta_5
+    or zeta_6 after; u (weighted) and c (unweighted) kept even markers."""
+    x, y, u = GE.evar("x", 1, W), GE.evar("y", 1, W), GE.evar("u", 1, W)
+    xval = GE.scalar(rng.choice([2, -3]), W) + x * rng.choice([1, -2]) + \
+        u * z(1) * z(5)
+    mapping = {
+        "x": xval,
+        "y": GE.one(W) + x * rng.choice([1, 2]) + u * z(3) * z(6),
+        ("z", 2): z(1) * (GE.one(W) + x) + u * z(3) * z(5) * z(6),
+        ("z", 4): z(6) * rng.choice([2, -1]) - x * z(1),
+    }
+    inverses = {"x": xval.inverse(({"x": 1}, 12))}
+    # a few substituted parts, each shared by several monomials
+    parts = [((rng.randrange(-3, 4), rng.randrange(3)),
+              tuple(i for i in (2, 4) if rng.random() < 0.7))
+             for _ in range(3)]
+    t = {}
+    for _ in range(14):
+        (ex, ey), sub_z = rng.choice(parts)
+        evens = tuple(p for p in (("c", rng.randrange(2)),
+                                  ("u", rng.randrange(3)),
+                                  ("x", ex), ("y", ey)) if p[1])
+        keep_z = tuple(i for i in (1, 3, 5, 6) if rng.random() < 0.5)
+        odds = tuple(("z", i) for i in sorted(sub_z + keep_z))
+        t[(evens, odds)] = GQ(rng.choice([-2, -1, 1, 3]))
+    truncs = [({"x": 1}, rng.randrange(3, 8)), ({"u": 1}, 1)]
+    return GE(W, t), mapping, inverses, truncs
+
+
+def _factors_and_kept_sums(el, mapping, inverses, truncs):
+    """{substituted part: (factor, kept sum)}, built apart from ``subs``: the
+    factor as one uncut product cut at the end, the sign of moving the kept
+    odd ids left as the ratio of two products of odd generators."""
+    out = {}
+    for (evens, odds), val in el.t.items():
+        sub_e = tuple(p for p in evens if p[0] in mapping)
+        sub_o = tuple(o for o in odds if o in mapping)
+        keep_o = tuple(o for o in odds if o not in mapping)
+        factor = GE.one(W)
+        for name, exp in sub_e:
+            factor = factor * (mapping[name] ** exp if exp > 0
+                               else inverses[name] ** -exp)
+        for oid in sub_o:
+            factor = factor * mapping[oid]
+        moved = GE.one(W)
+        for oid in keep_o + sub_o:
+            moved = moved * GE.ovar(oid, W)
+        sign = 1 if moved == GE(W, {((), odds): GQ(1)}) else -1
+        kept = GE(W, {(tuple(p for p in evens if p[0] not in mapping),
+                       keep_o): val * sign})
+        f, k = out.get((sub_e, sub_o), (_cut_at(factor, truncs), GE.zero(W)))
+        out[sub_e, sub_o] = (f, k + kept)
+    return out
+
+
+def test_grouped_subs_matches_per_monomial_reference(monkeypatch):
+    rng = random.Random(31)
+    for _ in range(10):
+        el, mapping, inverses, truncs = _grouped_subs_case(rng)
+        assert el.subs(mapping, inverses) == \
+            subs_by_pow_cut(el, mapping, inverses, [])
+        groups = _factors_and_kept_sums(el, mapping, inverses, truncs)
+        assert any(len(k.t) > 1 for _f, k in groups.values())
+        calls = []
+        mul = GE.mul
+
+        def spy(self, other, cut=None):
+            calls.append((self.t, self.lift(other).t))
+            return mul(self, other, cut)
+        with monkeypatch.context() as mp:
+            mp.setattr(GE, "mul", spy)
+            got = el.subs(mapping, inverses, truncs)
+        # every product is cut, so the reference is compared cut as well
+        assert got.t == _cut_at(subs_by_pow_cut(el, mapping, inverses,
+                                                truncs), truncs).t
+        # each distinct factor is multiplied by its kept sum exactly once
+        for f, k in groups.values():
+            if k:
+                assert calls.count((k.t, f.t)) == 1

@@ -576,3 +576,43 @@ def test_compose_series_x_cut_matches_uncut(monkeypatch):
     got = m.compose_series(h, wcap=5)
     assert seen == [None]
     assert got == want
+
+
+def test_compose_with_identity_forms_no_product(monkeypatch):
+    from supersew import series
+    rng = random.Random(53)
+    u = GE.evar("u", 1, W)
+
+    def refuse(*args, **kw):
+        raise AssertionError("composing with the identity formed a product")
+    ident = SuperMap.identity(W)
+    cases = [(nmin, nmax, wcap, trunc)
+             for nmin, nmax in ((-3, None), (0, None), (0, 3), (1, 5))
+             for wcap in (None, 2, 4)
+             for trunc in (None, ({"u": 1}, 0))]
+    for nmin, nmax, wcap, trunc in cases:
+        h = S({n: _small(rng) + u * z(1) * z(2) for n in
+               rng.sample(range(nmin, 6), 4)},
+              {n: _small(rng) * z(3) + u for n in
+               rng.sample(range(nmin, 4), 2)}, nmax=nmax)
+        with monkeypatch.context() as mp:
+            for name in ("mul", "__mul__", "__rmul__", "subs"):
+                mp.setattr(GE, name, refuse)
+            got = ident.compose_series(h, wcap, trunc)
+        with monkeypatch.context() as mp:
+            # the general path, substituting (x, phi) term by term
+            mp.setattr(series, "_X_TABLE", {})
+            want = ident.compose_series(h, wcap, trunc)
+            exact = ident.compose_series(h, None, trunc)
+        assert got.el == want.el
+        # no narrower than the general path's window ...
+        assert got.nmax is None or (want.nmax is not None
+                                    and got.nmax >= want.nmax)
+        # ... and sound: every coefficient inside it is the exact one
+        if got.nmax is None:
+            assert exact.nmax is None and got.el == exact.el
+        else:
+            assert exact.nmax is None or got.nmax <= exact.nmax
+            lo = min(exact.support_min() or 0, 0)
+            for n in range(lo, got.nmax + 1):
+                assert got.coeff_x(n) == exact.coeff_x(n)
