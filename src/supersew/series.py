@@ -17,7 +17,8 @@ change of coordinates; composition substitutes one pair into another, with
 negative powers expanded in positive powers of the perturbation around an
 invertible leading monomial.  The substitution builds each power and each
 product of substituted values once, for all terms of the outer series that
-share it; composing with the exact identity map forms no product at all.
+share it; composing with a map whose tables are (x, phi) forms no product
+at all.
 """
 
 from bisect import bisect_left
@@ -447,15 +448,17 @@ class SuperMap:
     def compose_series(self, h, wcap=None, trunc=None):
         """h o self: substitute this map into a single SuperSeries h.
 
-        When this map is exactly the identity (x, phi), h o self = h, so h
+        When the tables of this map are exactly (x, phi), h o self = h, so h
         cut by ``trunc`` and then at ``wcap`` is returned without forming a
-        product.  Its window is h's, narrowed only where ``truncate_x``
-        drops a term: sound, and never narrower than the substitution's."""
+        product, also when the map has a window.  Its window is the
+        substitution's own bound, ``_compose_window(h, ev, od, None)``
+        (h's window for the exact identity), narrowed where ``truncate_x``
+        drops a term: sound, and never narrower than the general path's."""
         ev, od = self.ev, self.od
-        if ev.nmax is None and od.nmax is None and ev.el.t == _X_TABLE \
-                and od.el.t == _PHI_TABLE:
+        if ev.el.t == _X_TABLE and od.el.t == _PHI_TABLE:
             el = h.el if trunc is None else h.el.truncate(*trunc)
-            out = SuperSeries(GE(h.el._join_width(ev.el), el.t), h.nmax)
+            out = SuperSeries(GE(h.el._join_width(ev.el), el.t),
+                              _compose_window(h, ev, od, None))
             return out if wcap is None else out.truncate_x(wcap)
         if h.nmax is not None and (ev.support_min() or 0) < 1:
             raise WindowError("windowed series can only be composed with "

@@ -69,7 +69,18 @@ class FockVOSA:
     # -- integer modes -------------------------------------------------------
 
     def mode_basis(self, u_key, m, w_key):
-        """u_m applied to a basis vector, as {key: GQ}."""
+        """u_m applied to a basis vector, as {key: GQ}.
+
+        Selection rule: u_m w has doubled level level(u) + level(w) - 2m - 2
+        and the Fock space has no negative levels, so u_m w = 0 whenever
+        level(u) + level(w) < 2m + 2; that case returns {} and is never
+        memoised.  For composite u = g_r u1 the same rule bounds the
+        recursion: g_{r-i} u1_{m+i} w needs i <= (level(u1) + level(w) -
+        2)//2 - m and u1_{r+m-i} g_i w needs i <= (level(g) + level(w) -
+        2)//2, so i runs to the larger of the two and no further."""
+        wlev = level_of(w_key)
+        if level_of(u_key) + wlev < 2 * m + 2:
+            return {}
         memo = self._memo
         got = memo.get((u_key, m, w_key))
         if got is not None:
@@ -96,16 +107,12 @@ class FockVOSA:
                 pg = 1
             p1 = len(u1[1]) % 2
             sgn_swap = (-1) ** ((r % 2) + pg * p1)
-            wlev = level_of(w_key)
-            ulev = level_of(u1)
-            span = wlev + ulev + 2 * (abs(m) + abs(r)) + 6
-            for i in range(span):
+            top = max((level_of(u1) + wlev - 2) // 2 - m,
+                      (level_of(g_key) + wlev - 2) // 2)
+            for i in range(top + 1):
                 c = GQ(binom(r, i) * ((-1) ** i))
-                if not c:
-                    break
                 # g_{r-i} (u1_{m+i} w)
-                t1 = self.mode_basis(u1, m + i, w_key)
-                for k1, v1 in t1.items():
+                for k1, v1 in self.mode_basis(u1, m + i, w_key).items():
                     for k2, v2 in self.mode_basis(g_key, r - i, k1).items():
                         val = c * v1 * v2
                         cur = out.get(k2)
@@ -115,8 +122,7 @@ class FockVOSA:
                         else:
                             out.pop(k2, None)
                 # - (-1)^(r + pg p1) u1_{r+m-i} (g_i w)
-                t2 = self.mode_basis(g_key, i, w_key)
-                for k1, v1 in t2.items():
+                for k1, v1 in self.mode_basis(g_key, i, w_key).items():
                     for k2, v2 in self.mode_basis(u1, r + m - i, k1).items():
                         val = c * v1 * v2 * (-sgn_swap)
                         cur = out.get(k2)
@@ -125,8 +131,6 @@ class FockVOSA:
                             out[k2] = val
                         else:
                             out.pop(k2, None)
-                if not t1 and not t2 and i > wlev + abs(m) + 2:
-                    break
         memo[(u_key, m, w_key)] = out
         return out
 
@@ -143,6 +147,8 @@ class FockVOSA:
         """
         if not isinstance(u, tuple):
             raise TypeError("pass a basis key")
+        if target2 is None and nrange is None:
+            raise ValueError("give target2 or nrange")
         u_pieces = [(u, None)]
         gu_pieces = list(self.gminus_half(u).t.items())
         ulev2 = self.wt2(u)
@@ -237,22 +243,34 @@ def delta_series(which, width, nmax, kmax):
     3: x2^-1 delta((x1 - x0 - ph1 ph2)/x2), positive powers of x0
 
     n ranges over [-nmax, nmax]; inner binomials truncated at kmax.
+
+    Written in closed form, with no products: the factor is
+    sum_n lead^(-n-1) (va - vb + s ph1 ph2)^n (times (-1)^n for which 2),
+    and since (ph1 ph2)^2 = 0 the binomial truncated at k <= top (top =
+    kmax, or min(n, kmax) for n >= 0) has exactly the terms
+    C(n,k) (-1)^k va^(n-k) vb^k and -s k C(n,k) (-1)^k va^(n-k) vb^(k-1)
+    ph1 ph2.  No two terms share a monomial.
     """
-    w = width
-    ph = GE.ovar(PH1, w) * GE.ovar(PH2, w)
-    out = GE.zero(w)
+    lead, va, vb, s = {1: (X0, X1, X2, -1), 2: (X0, X2, X1, 1),
+                       3: (X2, X1, X0, -1)}[which]
+    phph = (PH1, PH2)
+    t = {}
     for n in range(-nmax, nmax + 1):
-        if which == 1:
-            lead = GE.evar(X0, -n - 1, w)
-            terms = _binom_expand(n, X1, X2, -ph, kmax, w, flip=-1)
-        elif which == 2:
-            lead = GE.evar(X0, -n - 1, w) * GE.scalar((-1) ** (n % 2), w)
-            terms = _binom_expand(n, X2, X1, ph, kmax, w, flip=-1)
-        else:
-            lead = GE.evar(X2, -n - 1, w)
-            terms = _binom_expand(n, X1, X0, -ph, kmax, w, flip=-1)
-        out = out + lead * terms
-    return out
+        sgn = -1 if which == 2 and n % 2 else 1
+        top = kmax if n < 0 else min(n, kmax)
+        for k in range(top + 1):
+            c = sgn * (-1) ** k * binom(n, k)
+            t[(_evens((lead, -n - 1), (va, n - k), (vb, k)), ())] = GQ(c)
+            if k:
+                t[(_evens((lead, -n - 1), (va, n - k), (vb, k - 1)),
+                   phph)] = GQ(-s * k * c)
+    return GE(width, t)
+
+
+def _evens(*pairs):
+    """The evens of a monomial key from (name, exponent) pairs with
+    distinct names."""
+    return tuple(sorted(p for p in pairs if p[1]))
 
 
 def _binom_expand(n, va, vb, corr, kmax, w, flip):

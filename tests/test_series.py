@@ -616,3 +616,37 @@ def test_compose_with_identity_forms_no_product(monkeypatch):
             lo = min(exact.support_min() or 0, 0)
             for n in range(lo, got.nmax + 1):
                 assert got.coeff_x(n) == exact.coeff_x(n)
+
+
+def test_compose_with_windowed_identity_matches_general_path(monkeypatch):
+    # maps whose tables are (x, phi) but which carry a window, as a shift
+    # chain that cancels leaves them: same table and window as the general
+    # path, and no product formed
+    from supersew import series
+    rng = random.Random(59)
+    u = GE.evar("u", 1, W)
+
+    def refuse(*args, **kw):
+        raise AssertionError("composing with the identity formed a product")
+    for ne in range(7, 13):
+        for no in (ne, ne - 1, None):
+            ident = SuperMap(SuperSeries(GE.evar(XVAR, 1, W), ne),
+                             SuperSeries(GE.ovar(PHI, W), no))
+            for nmin, nmax in ((-3, None), (0, None), (1, 5), (-2, 9)):
+                h = S({n: _small(rng) + u * z(1) * z(2) for n in
+                       rng.sample(range(nmin, 11), 4)},
+                      {n: _small(rng) * z(3) + u for n in
+                       rng.sample(range(nmin, 9), 2)}, nmax=nmax)
+                for wcap in (None, 4, 10):
+                    for trunc in (None, ({"u": 1}, 0)):
+                        with monkeypatch.context() as mp:
+                            for name in ("mul", "__mul__", "__rmul__",
+                                         "subs"):
+                                mp.setattr(GE, name, refuse)
+                            got = ident.compose_series(h, wcap, trunc)
+                        with monkeypatch.context() as mp:
+                            mp.setattr(series, "_X_TABLE", {})
+                            want = ident.compose_series(h, wcap, trunc)
+                        case = (ne, no, nmin, nmax, wcap, trunc)
+                        assert got.el == want.el, case
+                        assert got.nmax == want.nmax, case

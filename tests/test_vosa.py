@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
-from supersew.nsmod import FockModule, GradedVector, level_of
+from supersew.nsmod import FockModule, GradedVector, enumerate_basis, level_of
 from supersew.vosa import (ABOSE, PH1, PH2, PSIV, TAU, VAC, X0, X1, X2,
                            FockVOSA, RationalSuperfunction, _binom_expand, binom,
                            delta_series, iterate_series, monomial_window,
@@ -394,6 +396,107 @@ def binom_expand_by_powers(n, va, vb, corr, kmax, w, flip):
         base = GE.evar(vb, 1, w) * flip + corr
         out = out + GQ(c) * GE.evar(va, n - k, w) * (base ** k)
     return out
+
+
+def delta_series_by_products(which, width, nmax, kmax):
+    """Reference: each delta factor built as lead * (binomial expansion),
+    one Grassmann product per term."""
+    w = width
+    ph = GE.ovar(PH1, w) * GE.ovar(PH2, w)
+    out = GE.zero(w)
+    for n in range(-nmax, nmax + 1):
+        if which == 1:
+            lead = GE.evar(X0, -n - 1, w)
+            terms = _binom_expand(n, X1, X2, -ph, kmax, w, flip=-1)
+        elif which == 2:
+            lead = GE.evar(X0, -n - 1, w) * GE.scalar((-1) ** (n % 2), w)
+            terms = _binom_expand(n, X2, X1, ph, kmax, w, flip=-1)
+        else:
+            lead = GE.evar(X2, -n - 1, w)
+            terms = _binom_expand(n, X1, X0, -ph, kmax, w, flip=-1)
+        out = out + lead * terms
+    return out
+
+
+def test_delta_series_closed_form_matches_products():
+    # (10, 12) and (5, 8) cut at min(n, kmax) for n >= 0; (3, 1) has
+    # kmax < nmax
+    for which in (1, 2, 3):
+        for nmax, kmax in ((0, 0), (3, 1), (5, 8), (10, 12)):
+            for width in (0, 8):
+                got = delta_series(which, width, nmax, kmax)
+                want = delta_series_by_products(which, width, nmax, kmax)
+                assert got.width == want.width
+                assert got == want, (which, nmax, kmax, width)
+
+
+def mode_basis_by_span(mod):
+    """Reference for FockVOSA.mode_basis: the iterate recursion summed over
+    i < level(w) + level(u1) + 2(|m| + |r|) + 6, with no selection rule and
+    no early stop."""
+    memo = {}
+
+    def mb(u_key, m, w_key):
+        got = memo.get((u_key, m, w_key))
+        if got is not None:
+            return got
+        bos, fer = u_key
+        out = {}
+        if not bos and not fer:
+            if m == -1:
+                out = {w_key: GQ(1)}
+        elif u_key == ABOSE:
+            out = mod.a_apply(m, w_key)
+        elif u_key == PSIV:
+            out = mod.psi_apply(2 * m + 1, w_key)
+        else:
+            if bos:
+                g_key, r, u1, pg = ABOSE, -bos[0], (bos[1:], fer), 0
+            else:
+                g_key, r, u1, pg = PSIV, -(fer[0] + 1) // 2, (bos, fer[1:]), 1
+            sgn_swap = (-1) ** ((r % 2) + pg * (len(u1[1]) % 2))
+            span = level_of(w_key) + level_of(u1) + 2 * (abs(m) + abs(r)) + 6
+            for i in range(span):
+                c = GQ(binom(r, i) * (-1) ** i)
+                for k1, v1 in mb(u1, m + i, w_key).items():
+                    for k2, v2 in mb(g_key, r - i, k1).items():
+                        out[k2] = out.get(k2, GQ(0)) + c * v1 * v2
+                for k1, v1 in mb(g_key, i, w_key).items():
+                    for k2, v2 in mb(u1, r + m - i, k1).items():
+                        out[k2] = out.get(k2, GQ(0)) - sgn_swap * c * v1 * v2
+            out = {k: v for k, v in out.items() if v}
+        memo[(u_key, m, w_key)] = out
+        return out
+    return mb
+
+
+def test_mode_basis_selection_rule_matches_full_span():
+    v = vosa()
+    ref = mode_basis_by_span(v.mod)
+    us = list(enumerate_basis(4))
+    ws = list(enumerate_basis(6))
+    for u in us:
+        for w in ws:
+            for m in range(-6, 7):
+                assert v.mode_basis(u, m, w) == ref(u, m, w), (u, m, w)
+
+
+def test_mode_basis_memoises_no_level_forbidden_entry():
+    v = vosa()
+    for (u, vv, ww, vp) in [(ABOSE, PSIV, PSIV, ABOSE),
+                            (TAU, PSIV, PSIV, ((1,), (3,)))]:
+        two_point(v, vp, u, vv, ww, n2_lo=-11)
+        iterate_series(v, vp, u, vv, ww, n0_lo=-11)
+    assert v._memo
+    for (u, m, w) in v._memo:
+        assert level_of(u) + level_of(w) >= 2 * m + 2, (u, m, w)
+
+
+def test_ytilde_apply_requires_a_mode_window():
+    v = vosa()
+    with pytest.raises(ValueError):
+        v.ytilde_apply(ABOSE, v.mod.basis_vector(PSIV), X1,
+                       GE.ovar(PH1, v.width))
 
 
 def test_binom_expand_matches_power_formula():
