@@ -23,6 +23,16 @@ A product may be cut at a weighted degree: ``a.mul(b, (weights, cap))`` is
 ``(a * b).truncate(weights, cap)``, but since weights add under the product
 it never forms a pair of terms whose weights sum past the cap (truncated
 power-series arithmetic, as in Brent & Kung, J. ACM 25, 1978).
+
+Inside ``mul`` the evens of a term are one packed int (Monagan & Pearce,
+CASC 2007): a module registry gives each even-variable name a fixed 32-bit
+signed field, so the evens of a term pair multiply by one integer add.  Two
+intern tables map each evens tuple to its packed int and each packed int
+back to its canonical tuple (sorted, no zero exponent); both grow with the
+distinct monomials seen, never with the term pairs.  Packing an exponent of
+absolute value 2^30 or more raises ``OverflowError``, so one add never
+carries into the next field.  ``t`` keeps its ``(evens, odds)`` layout:
+code outside this module, the benchmark's checks among it, reads it.
 """
 
 from fractions import Fraction
@@ -65,19 +75,50 @@ def _merge_odds(oa, ob):
     return tuple(res), sign
 
 
-def _merge_evens(ea, eb):
-    if not ea:
-        return eb
-    if not eb:
-        return ea
-    d = dict(ea)
-    for name, exp in eb:
-        e = d.get(name, 0) + exp
-        if e:
-            d[name] = e
-        else:
-            d.pop(name, None)
-    return tuple(sorted(d.items()))
+_EXP_LIMIT = 1 << 30
+_FIELDS = {}  # even-variable name -> shift of its field, in field order
+
+
+class _PackTable(dict):
+    """Evens tuple -> packed int, each entry made on its first lookup."""
+
+    def __missing__(self, evens):
+        p = 0
+        for name, exp in evens:
+            if not -_EXP_LIMIT < exp < _EXP_LIMIT:
+                raise OverflowError("exponent %d of %r does not fit a field"
+                                    % (exp, name))
+            p += exp << _FIELDS.setdefault(name, 32 * len(_FIELDS))
+        self[evens] = p
+        return p
+
+
+class _UnpackTable(dict):
+    """Packed int -> canonical evens tuple (sorted, no zero exponent), the
+    only maker of one, so that no caller's tuple reaches a product."""
+
+    def __missing__(self, p):
+        pairs, q = [], p
+        for name in _FIELDS:
+            # the field's signed value: its low bits, read offset by 2^31
+            e = ((q + (1 << 31)) & ((1 << 32) - 1)) - (1 << 31)
+            if e:
+                pairs.append((name, e))
+            q = (q - e) >> 32
+        evens = self[p] = tuple(sorted(pairs))
+        return evens
+
+
+_PACKED = _PackTable()
+_EVENS = _UnpackTable()
+
+
+def _packed_terms(t):
+    """The terms of a table as (packed evens, odds, value) triples."""
+    out = []
+    for (evens, odds), val in t.items():
+        out.append((_PACKED[evens], odds, val))
+    return out
 
 
 def key_weight(key, weights):
@@ -97,13 +138,13 @@ def key_weight(key, weights):
 
 def _by_weight(t, cuts):
     """The terms of a table grouped by their weighted degrees under the
-    (weights, cap) pairs of ``cuts``, as a list of ((w1, w2, ...), [(key,
-    value), ...]) sorted by weight, so w1 ascends."""
+    (weights, cap) pairs of ``cuts``, as a list of ((w1, w2, ...), [(packed
+    evens, odds, value), ...]) sorted by weight, so w1 ascends."""
     wts = [weights for weights, _ in cuts]
     groups = {}
     for key, val in t.items():
         w = tuple([key_weight(key, weights) for weights in wts])
-        groups.setdefault(w, []).append((key, val))
+        groups.setdefault(w, []).append((_PACKED[key[0]], key[1], val))
     return sorted(groups.items())
 
 
@@ -217,21 +258,23 @@ class GrassmannElement:
         """The product, cut when ``cut`` is a (weights, cap) pair or a list
         of them: ``a.mul(b, cut) == (a * b).truncate(*cut)`` for one pair,
         and the same at every pair of a list.  Weights add under the product,
-        so a pair of terms whose weights sum past a cap is never formed."""
+        so a pair of terms whose weights sum past a cap is never formed.
+        Each operand term's evens are packed once, a pair's evens are one
+        add, and each output key is decoded once."""
         other = self.lift(other)
         width = self._join_width(other)
         if cut:
             blocks = _blocks_within(self.t, other.t, cut)
         else:
-            blocks = ((self.t.items(), other.t.items()),)
+            blocks = ((_packed_terms(self.t), _packed_terms(other.t)),)
         t = {}
         for ta, tb in blocks:
-            for (ea, oa), va in ta:
-                for (eb, ob), vb in tb:
+            for pa, oa, va in ta:
+                for pb, ob, vb in tb:
                     odds, sign = _merge_odds(oa, ob)
                     if odds is None:
                         continue
-                    key = (_merge_evens(ea, eb), odds)
+                    key = (pa + pb, odds)
                     val = va * vb
                     if sign < 0:
                         val = -val
@@ -241,7 +284,10 @@ class GrassmannElement:
                         t[key] = val
                     else:
                         t.pop(key, None)
-        return GrassmannElement(width, t)
+        out = {}
+        for (p, odds), val in t.items():
+            out[_EVENS[p], odds] = val
+        return GrassmannElement(width, out)
 
     __mul__ = __rmul__ = mul
 

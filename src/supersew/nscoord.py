@@ -299,7 +299,10 @@ class _ExpSlices:
         while self.top[comp] != w:
             v = self.top[comp] + step
             col = [GE.zero(self.width)]
-            for k in range(1, (v - w0) * step + 1):
+            # T_k[v] needs T_{k-1} of a source column, so k stops at the
+            # longest one; col[1] is kept, ``add`` writes there
+            kmax = max([1] + [len(sl.get(v - s, ())) for s, _ in self.terms])
+            for k in range(1, min((v - w0) * step, kmax) + 1):
                 acc = GE.zero(self.width)
                 for s, c in self.terms:
                     src = sl.get(v - s)
@@ -308,6 +311,8 @@ class _ExpSlices:
                 if k > 1 and acc:
                     acc = acc * GQ(Fraction(1, k))
                 col.append(_cut(acc, self.trunc))
+            while len(col) > 2 and not col[-1]:
+                col.pop()
             sl[v] = col
             self.top[comp] = v
 

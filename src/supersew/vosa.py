@@ -287,18 +287,6 @@ def _binom_expand(n, va, vb, corr, kmax, w, flip):
     return out
 
 
-def monomial_window(el, vars_, cap):
-    """Restrict to monomials whose total absolute degree in vars_ is <=
-    cap."""
-    t = {}
-    for key, val in el.t.items():
-        d = dict(key[0])
-        tot = sum(abs(d.get(v, 0)) for v in vars_)
-        if tot <= cap:
-            t[key] = val
-    return GE(el.width, t)
-
-
 class RationalSuperfunction:
     """g / (x_a^r x_b^s (x_a - x_b - ph_a ph_b)^t) with polynomial g."""
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from supersew.scalars import GQ
 from supersew.grassmann import (GrassmannElement as GE, NotInvertible,
-                                WidthMismatch, _merge_evens, _merge_odds,
-                                key_weight)
+                                WidthMismatch, _merge_odds, key_weight)
 
 W = 6
 
@@ -235,6 +234,23 @@ def test_odd_square_vanishes_for_any_odd_element():
         assert el * el == GE.zero(W)
 
 
+def _merge_evens(ea, eb):
+    """The evens of a term pair's product, merged as sorted tuples, kept as
+    the per-pair reference for the packed add in ``mul``."""
+    if not ea:
+        return eb
+    if not eb:
+        return ea
+    d = dict(ea)
+    for name, exp in eb:
+        e = d.get(name, 0) + exp
+        if e:
+            d[name] = e
+        else:
+            d.pop(name, None)
+    return tuple(sorted(d.items()))
+
+
 def product_by_one_loop(a, b):
     """The product as one loop over all pairs of terms, kept as the
     reference for ``mul`` without a cut."""
@@ -449,3 +465,92 @@ def test_grouped_subs_matches_per_monomial_reference(monkeypatch):
         for f, k in groups.values():
             if k:
                 assert calls.count((k.t, f.t)) == 1
+
+
+PACK_NAMES = ["a", "b", "c", "u", "w", "x", "y"]
+PACK_WEIGHTS = [
+    {"a": 1, "x": -2},
+    {"w": 1, "z": 1},
+    {"c": 2, "y": -1, ("ph", 0): 1},
+]
+
+
+def random_many_field_element(rng, partner=None):
+    """Terms with Laurent exponents over seven even names, more fields than
+    any workload uses; with ``partner``, some terms carry the inverse evens
+    of a partner term, so that products cancel exponents to zero."""
+    t = {}
+    for _ in range(rng.randrange(0, 6)):
+        if partner is not None and partner.t and rng.random() < 0.4:
+            evens = tuple((n, -e) for n, e in rng.choice(list(partner.t))[0])
+        else:
+            names = sorted(rng.sample(PACK_NAMES, rng.randrange(0, 5)))
+            evens = tuple((n, rng.choice([-3, -2, -1, 1, 2, 3]))
+                          for n in names)
+        odds = tuple(sorted(rng.sample(CUT_ODD_IDS, rng.randrange(0, 3))))
+        t[(evens, odds)] = GQ(rng.randrange(1, 4), rng.randrange(-1, 2))
+    return GE(W, t)
+
+
+def assert_canonical(el):
+    """Every evens tuple of el is sorted by name and free of zeros."""
+    for evens, _odds in el.t:
+        names = [n for n, _e in evens]
+        assert names == sorted(set(names)), evens
+        assert all(e for _n, e in evens), evens
+
+
+def test_packed_kernel_matches_per_pair_merge():
+    rng = random.Random(37)
+    cancelled = 0
+    for _ in range(200):
+        a = random_many_field_element(rng)
+        b = random_many_field_element(rng, partner=a)
+        cancelled += sum(1 for ea, _oa in a.t for eb, _ob in b.t
+                         if ea and eb and not _merge_evens(ea, eb))
+        full = a * b
+        assert list(full.t.items()) == \
+            list(product_by_one_loop(a, b).t.items())
+        assert_canonical(full)
+        cuts = []
+        for weights in PACK_WEIGHTS:
+            ws = sorted({key_weight(k, weights)
+                         for el in (a, b, full) for k in el.t}) or [0]
+            for cap in {ws[0] - 1, ws[len(ws) // 2], ws[-1]}:
+                cut = (weights, cap)
+                got = a.mul(b, cut)
+                assert got == full.truncate(*cut)
+                assert_canonical(got)
+                cuts.append(cut)
+        pair = rng.sample(cuts, 2)
+        assert a.mul(b, pair) == \
+            full.truncate(*pair[0]).truncate(*pair[1])
+    # x^k times x^-k, all fields at once, happens often enough to count
+    assert cancelled > 50
+
+
+def test_packed_kernel_keeps_no_zero_exponent_of_a_hand_built_key():
+    raw = GE(W, {((("x", 0), ("y", 2)), (("z", 1),)): GQ(3),
+                 ((("u", 0),), ()): GQ(2)})
+    assert raw * GE.one(W) == GE(W, {((("y", 2),), (("z", 1),)): GQ(3),
+                                     ((), ()): GQ(2)})
+    for other in (GE.one(W), GQ(5), z(2), GE.evar("y", -2, W), raw):
+        for cut in (None, ({"y": 1}, 1), [({"y": 1}, 2), ({"z": 1}, 1)]):
+            assert_canonical(raw.mul(other, cut))
+            assert_canonical(raw.lift(other).mul(raw, cut))
+
+
+def test_packed_kernel_rejects_exponents_past_the_field():
+    big = 1 << 30
+    for e in (big, -big):
+        with pytest.raises(OverflowError):
+            GE.evar("x", e, W) * GE.evar("y", 1, W)
+        with pytest.raises(OverflowError):
+            z(1).mul(GE.evar("x", e, W), ({"x": 1}, 0))
+    # the largest exponents that fit: one add reaches 2^31 - 2, no carry
+    top = big - 1
+    p = GE.evar("x", top, W) * GE.evar("y", -top, W)
+    assert p.t == {((("x", top), ("y", -top)), ()): GQ(1)}
+    assert (p * p).t == {((("x", 2 * top), ("y", -2 * top)), ()): GQ(1)}
+    with pytest.raises(OverflowError):
+        (p * p) * GE.one(W)

@@ -10,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from supersew import nscoord, series, sewing, vosa  # noqa: E402
+from supersew import grassmann, nscoord, series, sewing, vosa  # noqa: E402
 from supersewbench import tracer  # noqa: E402
 
 
@@ -67,3 +67,23 @@ def test_benchmark_call_forms_bind():
     ]
     for fn, args, kw in calls:
         inspect.signature(fn).bind(*args, **kw)
+
+
+def test_traced_product_names_are_the_kernel():
+    # the tracer's grassmann.mul span wraps __mul__ and __rmul__
+    GE = grassmann.GrassmannElement
+    assert GE.__dict__["__mul__"] is GE.__dict__["__rmul__"] \
+        is GE.__dict__["mul"]
+
+
+def test_intern_tables_grow_with_monomials_not_rounds():
+    from supersewbench import workloads
+    make_inputs, make_round = workloads.WORKLOADS["vosa"]
+    inputs = make_inputs(1)
+    sizes = []
+    for _ in range(2):
+        ops, _v = make_round(inputs)
+        for op in ops:
+            op.compute()
+        sizes.append((len(grassmann._PACKED), len(grassmann._EVENS)))
+    assert sizes[0] == sizes[1]
