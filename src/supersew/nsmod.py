@@ -1,5 +1,5 @@
-"""The N=1 Neveu-Schwarz Lie superalgebra, its enveloping algebra extended
-by grade projections, and truncated positive-energy modules.
+"""The N=1 Neveu-Schwarz Lie superalgebra and truncated positive-energy
+modules.
 
 Generators are encoded by a doubled index: ``idx2`` even means L(idx2/2),
 ``idx2`` odd means G(idx2/2).  Brackets:
@@ -53,10 +53,6 @@ def ns_bracket_gens(i2, j2):
 
 def sym_idx2(sym):
     return 2 * sym[1] if sym[0] == "L" else sym[1]
-
-
-def sym_parity(sym):
-    return 0 if sym[0] in ("L", "d") else 1
 
 
 def level_of(key):
@@ -408,11 +404,6 @@ class GradedVector:
                 t[k] = (binv ** (-e)) * v
         return GradedVector(self.module, t)
 
-    def project(self, weight2):
-        return GradedVector(self.module,
-                            {k: v for k, v in self.t.items()
-                             if self.module.weight2(k) == weight2})
-
     def pair(self, dual):
         """Pair with a dual vector given as {key: coefficient}."""
         out = GE.zero(self.module.width)
@@ -475,171 +466,3 @@ def adjoint_apply(i2, dual, module, level2_cap, coeff=None):
             out[key] = val
     return GradedVector(module, out)
 
-
-# -- symbolic enveloping algebra with projections ----------------------------
-
-class UPElement:
-    """Element of the enveloping algebra extended by projections.
-
-    Table {word: coefficient}; a word is a tuple of symbols ('L', n),
-    ('G', r2), ('P', k2).  The central element is the coefficient variable
-    ``d``.  Normal form: generators sorted by doubled index ascending (PBW,
-    with G squares rewritten to L), projections commuted to the right end
-    and collapsed.
-    """
-
-    def __init__(self, table=None, width=0):
-        self.width = width
-        self.t = {k: v for k, v in (table or {}).items() if v}
-
-    @classmethod
-    def gen(cls, sym, width=0):
-        return cls({(sym,): GE.one(width)}, width)
-
-    @classmethod
-    def one(cls, width=0):
-        return cls({(): GE.one(width)}, width)
-
-    def __add__(self, other):
-        t = dict(self.t)
-        for k, v in other.t.items():
-            cur = t.get(k)
-            s = cur + v if cur is not None else v
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return UPElement(t, self.width)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not isinstance(c, GE):
-            c = GE.scalar(c, self.width)
-        return UPElement({k: c * v for k, v in self.t.items()}, self.width)
-
-    def __mul__(self, other):
-        t = {}
-        for ka, va in self.t.items():
-            for kb, vb in other.t.items():
-                key = ka + kb
-                val = va * vb
-                cur = t.get(key)
-                val = cur + val if cur is not None else val
-                if val:
-                    t[key] = val
-                else:
-                    t.pop(key, None)
-        return UPElement(t, self.width)
-
-    def __eq__(self, other):
-        if isinstance(other, UPElement):
-            return self.t == other.t
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "UPElement(%r)" % (self.t,)
-
-    def normal_form(self, rng=None):
-        """Rewrite to PBW normal form; ``rng`` picks among reducible spots
-        (any choice terminates at the same normal form)."""
-        work = [(k, v) for k, v in self.t.items()]
-        done = {}
-        guard = 0
-        while work:
-            guard += 1
-            if guard > 200000:
-                raise RuntimeError("normal form did not terminate")
-            word, coeff = work.pop()
-            spots = _reducible_spots(word)
-            if not spots:
-                cur = done.get(word)
-                s = cur + coeff if cur is not None else coeff
-                if s:
-                    done[word] = s
-                else:
-                    done.pop(word, None)
-                continue
-            idx = spots[0] if rng is None else spots[rng.randrange(len(spots))]
-            for w2, c2 in _reduce_at(word, idx, self.width):
-                work.append((w2, coeff * c2))
-        return UPElement(done, self.width)
-
-    def act(self, vec, level2_cap=None):
-        out = None
-        for word, coeff in self.t.items():
-            v = vec
-            for sym in reversed(word):
-                if sym[0] == "P":
-                    v = v.project(sym[1])
-                else:
-                    v = v.apply_gen(sym_idx2(sym))
-            v = v.scale(coeff.subs({"d": vec.module.central}))
-            out = v if out is None else out + v
-        if out is None:
-            out = vec.module.vector({})
-        if level2_cap is not None:
-            out = out.level_cap(level2_cap)
-        return out
-
-
-def _reducible_spots(word):
-    spots = []
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a[0] == "P" and b[0] == "P":
-            spots.append(i)
-        elif a[0] == "P" and b[0] != "P":
-            spots.append(i)
-        elif a[0] != "P" and b[0] != "P":
-            ia, ib = sym_idx2(a), sym_idx2(b)
-            if ia > ib:
-                spots.append(i)
-            elif ia == ib and a[0] == "G":
-                spots.append(i)
-    return spots
-
-
-def _reduce_at(word, i, width):
-    a, b = word[i], word[i + 1]
-    head, tail = word[:i], word[i + 2:]
-    out = []
-    if a[0] == "P" and b[0] == "P":
-        if a[1] == b[1]:
-            out.append((head + (a,) + tail, GE.one(width)))
-        return out
-    if a[0] == "P":
-        # P_j X_n = X_n P_{j + shift}, shift = weight of the generator
-        shift = sym_idx2(b)
-        out.append((head + (b, ("P", a[1] + shift)) + tail, GE.one(width)))
-        return out
-    ia, ib = sym_idx2(a), sym_idx2(b)
-    if ia == ib and a[0] == "G":
-        out.append((head + (("L", ia),) + tail, GE.one(width)))
-        return out
-    sign = -1 if (sym_parity(a) and sym_parity(b)) else 1
-    out.append((head + (b, a) + tail, GE.scalar(sign, width)))
-    for sym, cf in ns_bracket_gens(ia, ib):
-        if sym[0] == "d":
-            out.append((head + tail, GE.evar("d", 1, width) * cf))
-        else:
-            out.append((head + (sym,) + tail, GE.scalar(cf, width)))
-    return out
-
-
-def ns_bracket(a, b):
-    """Super-bracket [a, b] in the enveloping algebra, PBW-normalized."""
-    pa = _element_parity(a)
-    pb = _element_parity(b)
-    sign = -1 if (pa and pb) else 1
-    return (a * b - (b * a).scale(sign)).normal_form()
-
-
-def _element_parity(el):
-    ps = {sum(sym_parity(s) for s in w) % 2 for w in el.t}
-    if len(ps) > 1:
-        raise ValueError("inhomogeneous element has no parity")
-    return ps.pop() if ps else 0

@@ -7,10 +7,12 @@ denominator, kept canonical after every operation:
 - ``gcd(a, b, d) == 1``;
 - zero is ``(0, 0, 1)``.
 
-So equal values have equal triples, ``==`` and ``hash`` compare triples, and
-a product costs four integer multiplies and one ``math.gcd`` (none when the
-denominators multiply to 1).  The rational parts are read through the
-``re`` and ``im`` properties, which build ``Fraction`` values on demand.
+So equal values have equal triples and ``==`` compares triples.  A real
+value hashes as the int or ``Fraction`` it equals, so a GQ and an equal int
+or ``Fraction`` find each other in sets and dicts.  A product costs four
+integer multiplies and one ``math.gcd`` (none when the denominators
+multiply to 1).  The rational parts are read through the ``re`` and ``im``
+properties, which build ``Fraction`` values on demand.
 """
 
 from fractions import Fraction
@@ -159,7 +161,10 @@ class GQ:
                 and self._d == other._d)
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        # a real value hashes as the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a if self._d == 1 else Fraction(self._a, self._d))
 
     def __bool__(self):
         return bool(self._a or self._b)

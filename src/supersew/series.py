@@ -241,8 +241,8 @@ class SuperSeries:
                     p = bisect_left(odds, PHI)
                     t[(_with_x(rest, m + j - 1),
                        odds[:p] + (PHI,) + odds[p:])] = c * (-m if p & 1 else m)
-        # both L_j and G_{j-1/2} shift x-degrees by j
-        nm = None if self.nmax is None else self.nmax + (idx2 + 1) // 2
+        # L_j reads x^(n-j) into x^n; G_{j-1/2} reads x^(n-j) and x^(n-j+1)
+        nm = None if self.nmax is None else self.nmax + idx2 // 2
         return SuperSeries(GE(self.el.width, t), nm)
 
 

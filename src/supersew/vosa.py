@@ -59,9 +59,6 @@ class FockVOSA:
     def parity(self, key):
         return len(key[1]) % 2
 
-    def vacuum(self):
-        return self.mod.basis_vector(VAC)
-
     def gminus_half(self, u_key):
         """G(-1/2) u as a vector (for the odd part of the field)."""
         return GradedVector(self.mod, self.mod.gen_apply(-1, u_key))

@@ -147,6 +147,19 @@ def test_equal_values_hash_equal(p, q):
         assert u == x and hash(u) == hash(x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(plain, fracs)
+def test_equal_to_an_int_or_fraction_means_equal_hash(c, im):
+    # equal values must find each other in sets and dicts, whichever type
+    # stands for them
+    for x in (GQ(c), GQ(c, 0), GQ(c, im) - GQ(0, im)):
+        assert x == c and hash(x) == hash(c)
+        assert c in {x} and x in {c} and {x: 1}.get(c) == 1
+        assert hash(x) == hash(Fraction(c))
+    z = GQ(c, im)
+    assert (z == c) == (not im) and (z in {c}) == (not im)
+
+
 def test_inverse_of_zero_raises():
     for zero in (GQ(0), GQ(Fraction(0), 0), GQ(1, 1) - GQ(1, 1)):
         with pytest.raises(ZeroDivisionError):

@@ -147,7 +147,7 @@ def derivation_by_products(s, idx2):
         j = (idx2 + 1) // 2
         el = -(GE.evar(XVAR, j, w)
                * (s.el.diff_odd(PHI) - ph * s.el.diff_even(XVAR)))
-    nm = None if s.nmax is None else s.nmax + (idx2 + 1) // 2
+    nm = None if s.nmax is None else s.nmax + idx2 // 2
     return SuperSeries(el, nm)
 
 
@@ -185,6 +185,26 @@ def test_derivation_pass_matches_product_formula():
             assert got.el.t == want.el.t and got.nmax == want.nmax, (s, idx2)
 
 
+def test_derivation_window_is_sound_against_an_exact_extension():
+    # whatever the terms above a window are, the derivation of the exact
+    # series agrees with the windowed result on the window it claims
+    rng = random.Random(29)
+    for _ in range(100):
+        s = random_marked_series(rng)
+        nmax = rng.randrange(-2, 6) if s.nmax is None else s.nmax
+        s = s.clone(nmax=nmax)
+        ext = s.el
+        for n in (nmax + 1, nmax + 2):
+            for odd in (False, True):
+                term = GE.evar(XVAR, n, W) * GE.scalar(rng.randrange(1, 4), W)
+                ext = ext + (GE.ovar(PHI, W) * term if odd else term)
+        exact = SuperSeries(ext)
+        for idx2 in range(-5, 8):
+            got = s.apply_derivation(idx2)
+            want = exact.apply_derivation(idx2).clone(nmax=got.nmax)
+            assert got.el == want.el, (s, idx2, got.nmax)
+
+
 def test_ns_bracket_table():
     # [L_m, L_n] = (m-n) L_{m+n}, [L_m, G_r] = (m/2 - r) G_{m+r} and
     # {G_r, G_s} = 2 L_{r+s}, over every doubled index pair in -4..4
@@ -203,6 +223,9 @@ def test_ns_bracket_table():
                     c = Fraction(2)
                 lhs = bracket_on(h, i2, j2)
                 rhs = c * h.apply_derivation(i2 + j2)
+                if h.nmax is not None:
+                    m = min(lhs.nmax, rhs.nmax)
+                    lhs, rhs = lhs.clone(nmax=m), rhs.clone(nmax=m)
                 assert lhs.el == rhs.el, (h, i2, j2)
 
 
