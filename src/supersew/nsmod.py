@@ -14,12 +14,26 @@ boson-fermion Fock module.  Module vectors are sparse tables over basis
 keys; coefficients live in the Grassmann algebra extended by central
 variables, so Grassmann-valued coefficients ("envelope" action) work with
 the sign rule (a@P)(b@w) = (-1)^(parity P * parity b) ab @ P(w).
+
+The Fock module holds the vertex-operator modes u_m of its basis vectors
+(``FockModule.mode_basis``), and its L and G are the modes of the
+superconformal vector tau = a(-1) psi(-1/2) vac: G(r) = tau_{r+1/2} and
+L(n) = omega_{n+1} with omega = (1/2) G(-1/2) tau.  So the NS action on the
+Fock space is the one its vertex operator superalgebra defines; the tests
+keep the quadratic boson-fermion formulas as the independent check.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE
+
+
+VAC = ((), ())
+TAU = ((1,), (1,))          # a(-1) psi(-1/2) vac
+ABOSE = ((1,), ())          # a(-1) vac
+PSIV = ((), (1,))           # psi(-1/2) vac
 
 
 def ns_bracket_gens(i2, j2):
@@ -63,40 +77,20 @@ def level_of(key):
 def enumerate_basis(level2_cap):
     """All (Ls, Gs) keys with doubled level <= cap, Ls weakly descending
     positive ints, Gs strictly descending positive doubled half-ints."""
-    def parts(rem, maxpart):
-        yield ()
-        for p in range(min(rem, maxpart), 0, -1):
-            for tail in parts(rem - p, p):
-                yield (p,) + tail
-
-    def odd_parts(rem, maxpart):
-        yield ()
-        p = maxpart if maxpart % 2 == 1 else maxpart - 1
-        while p >= 1:
-            if p <= rem:
-                for tail in odd_parts(rem - p, p - 2):
+    def parts(rem, top, odd):
+        # partitions of rem into parts <= top, descending: distinct odd
+        # parts when odd
+        if not rem:
+            yield ()
+        for p in range(min(rem, top), 0, -1):
+            if not odd or p % 2:
+                for tail in parts(rem - p, p - 2 if odd else p, odd):
                     yield (p,) + tail
-            p -= 2
 
-    out = []
-    for lv2 in range(0, level2_cap + 1):
-        for glev in range(0, lv2 + 1):
-            rem = lv2 - glev
-            if rem % 2:
-                continue
-            for gs in odd_parts(glev, glev if glev % 2 == 1 else glev - 1):
-                if sum(gs) != glev:
-                    continue
-                for ls in parts(rem // 2, rem // 2 if rem else 0):
-                    if 2 * sum(ls) == rem:
-                        out.append((ls, gs))
-    seen = set()
-    uniq = []
-    for k in out:
-        if k not in seen:
-            seen.add(k)
-            uniq.append(k)
-    return uniq
+    return [(ls, gs) for lv2 in range(level2_cap + 1)
+            for glev in range(lv2 % 2, lv2 + 1, 2)
+            for gs in parts(glev, glev, True)
+            for ls in parts((lv2 - glev) // 2, lv2, False)]
 
 
 class _ModuleBase:
@@ -184,13 +178,13 @@ class FockModule(_ModuleBase):
 
     Basis keys (bosons, fermions): a(-n1)...a(-nk) psi(-r1)...psi(-rl) vac
     with n's weakly and doubled r's strictly descending.  Mode relations
-    [a(m), a(n)] = m delta_{m+n,0}, {psi(r), psi(s)} = delta_{r+s,0};
-    L and G act through the standard quadratic expressions.
+    [a(m), a(n)] = m delta_{m+n,0}, {psi(r), psi(s)} = delta_{r+s,0}.
+    ``mode_basis`` gives the integer modes u_m of every basis vector u;
+    L and G act as the modes of tau = a(-1) psi(-1/2) vac.
     """
 
     def __init__(self, width=0):
         self.width = width
-        self.h = Fraction(0)
         self.central = GE.scalar(Fraction(3, 2), width)
         self._memo = {}
 
@@ -229,82 +223,90 @@ class FockModule(_ModuleBase):
         new = fer[:pos] + fer[pos + 1:]
         return {(bos, new): GQ(-1 if pos % 2 else 1)}
 
-    def _pair_apply(self, ops, key):
-        """Apply a two-factor product given as [(kind, idx), ...] rightmost
-        first; kind in {'a','psi'}."""
-        cur = {key: GQ(1)}
-        for kind, idx in reversed(ops):
-            nxt = {}
-            for k, v in cur.items():
-                res = self.a_apply(idx, k) if kind == "a" \
-                    else self.psi_apply(idx, k)
-                for k2, v2 in res.items():
-                    s = nxt.get(k2)
-                    val = v * v2 if s is None else s + v * v2
-                    if val:
-                        nxt[k2] = val
-                    else:
-                        nxt.pop(k2, None)
-            cur = nxt
-        return cur
+    def mode_basis(self, u_key, m, w_key):
+        """u_m applied to a basis vector, as {key: GQ}.
 
-    def gen_apply(self, i2, key):
+        Selection rule: u_m w has doubled level level(u) + level(w) - 2m - 2
+        and the Fock space has no negative levels, so u_m w = 0 whenever
+        level(u) + level(w) < 2m + 2; that case returns {} and is never
+        memoised.  For composite u = g_r u1 the same rule bounds the
+        recursion: g_{r-i} u1_{m+i} w needs i <= (level(u1) + level(w) -
+        2)//2 - m and u1_{r+m-i} g_i w needs i <= (level(g) + level(w) -
+        2)//2, so i runs to the larger of the two and no further."""
+        wlev = level_of(w_key)
+        if level_of(u_key) + wlev < 2 * m + 2:
+            return {}
+        if u_key == ABOSE:
+            return self.a_apply(m, w_key)
+        if u_key == PSIV:
+            return self.psi_apply(2 * m + 1, w_key)
         memo = self._memo
-        got = memo.get((i2, key))
+        got = memo.get((u_key, m, w_key))
         if got is not None:
             return got
-        bos, fer = key
-        lev2 = level_of(key)
+        bos, fer = u_key
         out = {}
+        if not bos and not fer:
+            if m == -1:
+                out = {w_key: GQ(1)}
+        else:
+            if bos:
+                g_key = ABOSE
+                r = -bos[0]
+                u1 = (bos[1:], fer)
+                pg = 0
+            else:
+                g_key = PSIV
+                r = -(fer[0] + 1) // 2
+                u1 = (bos, fer[1:])
+                pg = 1
+            p1 = len(u1[1]) % 2
+            sgn_swap = (-1) ** ((r % 2) + pg * p1)
+            top = max((level_of(u1) + wlev - 2) // 2 - m,
+                      (level_of(g_key) + wlev - 2) // 2)
+            for i in range(top + 1):
+                # (-1)^i C(r, i) with r <= -1
+                c = GQ(comb(i - r - 1, i))
+                # g_{r-i} (u1_{m+i} w)
+                for k1, v1 in self.mode_basis(u1, m + i, w_key).items():
+                    for k2, v2 in self.mode_basis(g_key, r - i, k1).items():
+                        val = c * v1 * v2
+                        cur = out.get(k2)
+                        val = val if cur is None else cur + val
+                        if val:
+                            out[k2] = val
+                        else:
+                            out.pop(k2, None)
+                # - (-1)^(r + pg p1) u1_{r+m-i} (g_i w)
+                for k1, v1 in self.mode_basis(g_key, i, w_key).items():
+                    for k2, v2 in self.mode_basis(u1, r + m - i, k1).items():
+                        val = c * v1 * v2 * (-sgn_swap)
+                        cur = out.get(k2)
+                        val = val if cur is None else cur + val
+                        if val:
+                            out[k2] = val
+                        else:
+                            out.pop(k2, None)
+        memo[(u_key, m, w_key)] = out
+        return out
 
-        def add(res, fac):
-            for k2, v2 in res.items():
+    def gen_apply(self, i2, key):
+        """G(r) = tau_{r+1/2} and L(n) = omega_{n+1}, omega = (1/2) G(-1/2)
+        tau."""
+        if i2 % 2:
+            return self.mode_basis(TAU, (i2 + 1) // 2, key)
+        out = {}
+        half = GQ(Fraction(1, 2))
+        for k, c in self.mode_basis(TAU, 0, TAU).items():
+            c = half * c
+            for k2, v2 in self.mode_basis(k, i2 // 2 + 1, key).items():
+                val = c * v2
                 cur = out.get(k2)
-                val = v2 * fac if cur is None else cur + v2 * fac
+                val = val if cur is None else cur + val
                 if val:
                     out[k2] = val
                 else:
                     out.pop(k2, None)
-
-        if i2 % 2 == 0:
-            m = i2 // 2
-            span = lev2 // 2 + abs(m) + 2
-            for k in range(-span, span + 1):
-                i, j = -k, m + k
-                if i == 0 or j == 0:
-                    continue
-                lo, hi = (i, j) if i <= j else (j, i)
-                res = self._pair_apply([("a", lo), ("a", hi)], key)
-                if res:
-                    add(res, GQ(Fraction(1, 2)))
-            span2 = lev2 + 2 * abs(m) + 3
-            start = -span2 if span2 % 2 == 1 else -span2 + 1
-            for r2 in range(start, span2 + 1, 2):
-                i2f, j2f = -r2, 2 * m + r2
-                if i2f == j2f:
-                    continue
-                coeff = GQ(Fraction(r2, 2) + Fraction(m, 2))
-                if not coeff:
-                    continue
-                if i2f <= j2f:
-                    res = self._pair_apply([("psi", i2f), ("psi", j2f)], key)
-                    sgn = 1
-                else:
-                    res = self._pair_apply([("psi", j2f), ("psi", i2f)], key)
-                    sgn = -1
-                if res:
-                    add(res, coeff * GQ(Fraction(sgn, 2)))
-        else:
-            r2 = i2
-            span = lev2 // 2 + abs(r2) + 2
-            for k in range(-span, span + 1):
-                if k == 0:
-                    continue
-                s2 = r2 - 2 * k
-                res = self._pair_apply([("a", k), ("psi", s2)], key)
-                if res:
-                    add(res, GQ(1))
-        memo[(i2, key)] = out
         return out
 
 

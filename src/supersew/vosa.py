@@ -8,7 +8,10 @@ iterate (normal-ordering) recursion on integer modes,
   (g_r u)_m = sum_{i>=0} (-1)^i C(r,i)
               (g_{r-i} u_{m+i} - (-1)^{r + pg*pu} u_{r+m-i} g_i),
 
-and the odd-variable operator is Y(v,(x,phi)) = Y(v,x) + phi Y(G(-1/2)v,x).
+which lives on the Fock module (``nsmod.FockModule.mode_basis``); a
+``FockVOSA`` is that module.  Its L and G are the modes of tau, so the NS
+VOSA axiom G(r) = tau_{r+1/2}, L(n) = omega_{n+1} holds by construction.
+The odd-variable operator is Y(v,(x,phi)) = Y(v,x) + phi Y(G(-1/2)v,x).
 All checks work with exact coefficient tables over explicit monomial
 windows; three even and two odd formal variables suffice for the duality
 suite.
@@ -19,12 +22,9 @@ from math import comb
 
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE
-from .nsmod import FockModule, GradedVector, level_of
-
-VAC = ((), ())
-TAU = ((1,), (1,))          # a(-1) psi(-1/2) vac
-ABOSE = ((1,), ())          # a(-1) vac
-PSIV = ((), (1,))           # psi(-1/2) vac
+# the basis vectors ABOSE, PSIV, TAU and VAC are named here for callers
+from .nsmod import (ABOSE, PSIV, TAU, VAC, FockModule, GradedVector,
+                    level_of)
 
 X0, X1, X2 = "x0", "x1", "x2"
 PH1 = ("ph", 1)
@@ -43,13 +43,8 @@ def binom(r, i):
     return out
 
 
-class FockVOSA:
+class FockVOSA(FockModule):
     """Vertex operators on the boson-fermion Fock space (rank 3/2)."""
-
-    def __init__(self, width=0):
-        self.mod = FockModule(width)
-        self.width = width
-        self._memo = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -61,75 +56,9 @@ class FockVOSA:
 
     def gminus_half(self, u_key):
         """G(-1/2) u as a vector (for the odd part of the field)."""
-        return GradedVector(self.mod, self.mod.gen_apply(-1, u_key))
-
-    # -- integer modes -------------------------------------------------------
-
-    def mode_basis(self, u_key, m, w_key):
-        """u_m applied to a basis vector, as {key: GQ}.
-
-        Selection rule: u_m w has doubled level level(u) + level(w) - 2m - 2
-        and the Fock space has no negative levels, so u_m w = 0 whenever
-        level(u) + level(w) < 2m + 2; that case returns {} and is never
-        memoised.  For composite u = g_r u1 the same rule bounds the
-        recursion: g_{r-i} u1_{m+i} w needs i <= (level(u1) + level(w) -
-        2)//2 - m and u1_{r+m-i} g_i w needs i <= (level(g) + level(w) -
-        2)//2, so i runs to the larger of the two and no further."""
-        wlev = level_of(w_key)
-        if level_of(u_key) + wlev < 2 * m + 2:
-            return {}
-        memo = self._memo
-        got = memo.get((u_key, m, w_key))
-        if got is not None:
-            return got
-        bos, fer = u_key
-        out = {}
-        if not bos and not fer:
-            if m == -1:
-                out = {w_key: GQ(1)}
-        elif u_key == ABOSE:
-            out = self.mod.a_apply(m, w_key)
-        elif u_key == PSIV:
-            out = self.mod.psi_apply(2 * m + 1, w_key)
-        else:
-            if bos:
-                g_key = ABOSE
-                r = -bos[0]
-                u1 = (bos[1:], fer)
-                pg = 0
-            else:
-                g_key = PSIV
-                r = -(fer[0] + 1) // 2
-                u1 = (bos, fer[1:])
-                pg = 1
-            p1 = len(u1[1]) % 2
-            sgn_swap = (-1) ** ((r % 2) + pg * p1)
-            top = max((level_of(u1) + wlev - 2) // 2 - m,
-                      (level_of(g_key) + wlev - 2) // 2)
-            for i in range(top + 1):
-                c = GQ(binom(r, i) * ((-1) ** i))
-                # g_{r-i} (u1_{m+i} w)
-                for k1, v1 in self.mode_basis(u1, m + i, w_key).items():
-                    for k2, v2 in self.mode_basis(g_key, r - i, k1).items():
-                        val = c * v1 * v2
-                        cur = out.get(k2)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[k2] = val
-                        else:
-                            out.pop(k2, None)
-                # - (-1)^(r + pg p1) u1_{r+m-i} (g_i w)
-                for k1, v1 in self.mode_basis(g_key, i, w_key).items():
-                    for k2, v2 in self.mode_basis(u1, r + m - i, k1).items():
-                        val = c * v1 * v2 * (-sgn_swap)
-                        cur = out.get(k2)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[k2] = val
-                        else:
-                            out.pop(k2, None)
-        memo[(u_key, m, w_key)] = out
-        return out
+        w = self.width
+        return GradedVector(self, {k: GE.scalar(c, w) for k, c in
+                                   self.gen_apply(-1, u_key).items()})
 
     # -- fields with odd variables -------------------------------------------
 
@@ -184,7 +113,7 @@ class FockVOSA:
                                 out[k2] = val
                             else:
                                 out.pop(k2, None)
-        return GradedVector(self.mod, out)
+        return GradedVector(self, out)
 
 
 def pair_dual(vec, dual_key):
@@ -197,7 +126,7 @@ def two_point(vosa, vp_key, u_key, v_key, w_key, n2_lo,
     the inner mode index runs down to n2_lo (positive x_in powers up to
     -n2_lo - 1)."""
     w = vosa.width
-    wv = vosa.mod.basis_vector(w_key)
+    wv = vosa.basis_vector(w_key)
     inner = vosa.ytilde_apply(
         v_key, wv, ev_inner, GE.ovar(ph_inner, w),
         nrange=(n2_lo, (vosa.wt2(v_key) + level_of(w_key)) // 2 + 1))
@@ -215,13 +144,13 @@ def iterate_series(vosa, vp_key, u_key, v_key, w_key, n0_lo):
     intermediate vector (powers of x0 and odd factors) multiply the paired
     value from the left."""
     w = vosa.width
-    vv = vosa.mod.basis_vector(v_key)
+    vv = vosa.basis_vector(v_key)
     odd_comb = GE.ovar(PH1, w) - GE.ovar(PH2, w)
     inner = vosa.ytilde_apply(
         u_key, vv, X0, odd_comb,
         nrange=(n0_lo, (vosa.wt2(u_key) + vosa.wt2(v_key)) // 2 + 1))
     out = GE.zero(w)
-    wv = vosa.mod.basis_vector(w_key)
+    wv = vosa.basis_vector(w_key)
     for ikey, ic in inner.t.items():
         piece = vosa.ytilde_apply(ikey, wv, X2, GE.ovar(PH2, w),
                                   target2=level_of(vp_key))

@@ -100,6 +100,26 @@ def test_verma_ns_relations_with_symbolic_charge():
         assert bracket_in_module(mod, v, i2, j2) == expected_bracket(mod, v, i2, j2)
 
 
+def test_enumerate_basis_counts_the_ns_character():
+    # keys at doubled level n are counted by the q^(n/2) coefficient of
+    # prod_{n>=1} (1 + q^(2n-1)) / (1 - q^(2n)), in powers of q^(1/2)
+    cap = 14
+    series = [1] + [0] * cap
+    for n in range(1, cap + 1):
+        if n % 2:       # fermion: 1 + q^n, each part at most once
+            for lv in range(cap, n - 1, -1):
+                series[lv] += series[lv - n]
+        else:           # boson: 1 / (1 - q^n), parts repeat
+            for lv in range(n, cap + 1):
+                series[lv] += series[lv - n]
+    keys = enumerate_basis(cap)
+    assert len(set(keys)) == len(keys)
+    counts = [0] * (cap + 1)
+    for key in keys:
+        counts[level_of(key)] += 1
+    assert counts == series
+
+
 def test_fock_commutators():
     mod = FockModule()
     vac = mod.basis_vector(mod.vacuum_key())

@@ -10,7 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from supersew import grassmann, nscoord, series, sewing, vosa  # noqa: E402
+from supersew import (grassmann, nscoord, nsmod, series, sewing,  # noqa: E402
+                      vosa)
 from supersewbench import tracer  # noqa: E402
 
 
@@ -87,3 +88,28 @@ def test_intern_tables_grow_with_monomials_not_rounds():
             op.compute()
         sizes.append((len(grassmann._PACKED), len(grassmann._EVENS)))
     assert sizes[0] == sizes[1]
+
+
+def test_traced_mode_basis_counts_the_inherited_recursion():
+    # FockVOSA inherits mode_basis from FockModule; the tracer's wrapper on
+    # FockVOSA must still see every recursive call and every memo entry
+    from supersewbench import workloads
+    keys = nsmod.enumerate_basis(4)
+    before = [vosa.FockVOSA(width=8).mode_basis(vosa.TAU, 0, k) for k in keys]
+    make_inputs, make_round = workloads.WORKLOADS["vosa"]
+    ops, v = make_round(make_inputs(1))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for op in ops:
+            op.compute()
+    finally:
+        t.uninstall()
+    m = t.metrics()
+    assert m["vosa.mode_basis.misses"] == m["vosa.memo_entries"] \
+        == len(v._memo) > 0
+    assert m["vosa.mode_basis.calls"] > m["vosa.mode_basis.misses"]
+    # once uninstalled, FockVOSA computes with the module's own recursion
+    assert vosa.FockVOSA.mode_basis is nsmod.FockModule.mode_basis
+    fresh = vosa.FockVOSA(width=8)
+    assert [fresh.mode_basis(vosa.TAU, 0, k) for k in keys] == before

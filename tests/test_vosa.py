@@ -75,20 +75,86 @@ def test_creation_property():
         acc = {}
         for k, c in gu.t.items():
             for k2, c2 in v.mode_basis(k, -1, VAC).items():
-                acc[k2] = acc.get(k2, GQ(0)) + GQ.lift(c) * c2
+                acc[k2] = acc.get(k2, GQ(0)) + c.body() * c2
         acc = {k: c for k, c in acc.items() if c}
-        assert acc == {k: GQ.lift(c) for k, c in gu.t.items()}
+        assert acc == {k: c.body() for k, c in gu.t.items()}
+
+
+def fock_gen_apply_by_quadratic_sums(mod, i2, key):
+    """Reference for FockModule.gen_apply: the free-field formulas
+
+        L(m) = (1/2) sum_k :a(-k) a(m+k):
+               + (1/2) sum_r (r + m/2) :psi(-r) psi(m+r):,
+        G(r) = sum_k a(k) psi(r-k),
+
+    each summed over the span of modes that can act on key, every product
+    applied one mode at a time."""
+    def pair_apply(ops):
+        # ops = [(kind, idx), ...], rightmost factor last
+        cur = {key: GQ(1)}
+        for kind, idx in reversed(ops):
+            nxt = {}
+            for k, v in cur.items():
+                res = mod.a_apply(idx, k) if kind == "a" \
+                    else mod.psi_apply(idx, k)
+                for k2, v2 in res.items():
+                    nxt[k2] = nxt.get(k2, GQ(0)) + v * v2
+            cur = {k: v for k, v in nxt.items() if v}
+        return cur
+
+    out = {}
+
+    def add(res, fac):
+        for k2, v2 in res.items():
+            out[k2] = out.get(k2, GQ(0)) + v2 * fac
+
+    lev2 = level_of(key)
+    if i2 % 2 == 0:
+        m = i2 // 2
+        span = lev2 // 2 + abs(m) + 2
+        for k in range(-span, span + 1):
+            i, j = -k, m + k
+            if i == 0 or j == 0:
+                continue
+            lo, hi = (i, j) if i <= j else (j, i)
+            add(pair_apply([("a", lo), ("a", hi)]), GQ(Fraction(1, 2)))
+        span2 = lev2 + 2 * abs(m) + 3
+        start = -span2 if span2 % 2 == 1 else -span2 + 1
+        for r2 in range(start, span2 + 1, 2):
+            i2f, j2f = -r2, 2 * m + r2
+            if i2f == j2f:
+                continue
+            coeff = GQ(Fraction(r2, 2) + Fraction(m, 2))
+            if i2f <= j2f:
+                add(pair_apply([("psi", i2f), ("psi", j2f)]),
+                    coeff * GQ(Fraction(1, 2)))
+            else:
+                add(pair_apply([("psi", j2f), ("psi", i2f)]),
+                    coeff * GQ(Fraction(-1, 2)))
+    else:
+        span = lev2 // 2 + abs(i2) + 2
+        for k in range(-span, span + 1):
+            if k:
+                add(pair_apply([("a", k), ("psi", i2 - 2 * k)]), GQ(1))
+    return {k: v for k, v in out.items() if v}
+
+
+def test_gen_apply_matches_quadratic_sums():
+    mod = FockModule()
+    for key in enumerate_basis(8):
+        for i2 in range(-9, 10):
+            assert mod.gen_apply(i2, key) == \
+                fock_gen_apply_by_quadratic_sums(mod, i2, key), (i2, key)
 
 
 def test_stress_tensor_modes():
     v = vosa()
-    mod = v.mod
     keys = [VAC, ABOSE, PSIV, TAU, ((1,), (3,)), ((2, 1), ())]
     for m in range(-3, 4):
         for k in keys:
             # tau_m = G(m - 1/2)
-            assert v.mode_basis(TAU, m, k) == mod.gen_apply(2 * m - 1, k), \
-                (m, k)
+            want = fock_gen_apply_by_quadratic_sums(v, 2 * m - 1, k)
+            assert v.mode_basis(TAU, m, k) == want, (m, k)
     # phi-part: (G(-1/2) tau)_m = 2 L(m-1)
     gtau = v.gminus_half(TAU)
     for m in range(-2, 3):
@@ -96,11 +162,25 @@ def test_stress_tensor_modes():
             acc = {}
             for gk, c in gtau.t.items():
                 for k2, c2 in v.mode_basis(gk, m, k).items():
-                    acc[k2] = acc.get(k2, GQ(0)) + GQ.lift(c) * c2
+                    acc[k2] = acc.get(k2, GQ(0)) + c.body() * c2
             acc = {kk: cc for kk, cc in acc.items() if cc}
-            want = {kk: 2 * cc for kk, cc in mod.gen_apply(2 * (m - 1), k).items()}
-            want = {kk: cc for kk, cc in want.items() if cc}
+            want = {kk: 2 * cc for kk, cc in
+                    fock_gen_apply_by_quadratic_sums(v, 2 * (m - 1),
+                                                     k).items()}
             assert acc == want, (m, k)
+
+
+def test_gminus_half_is_a_module_vector():
+    v = FockVOSA(2)
+    gtau = v.gminus_half(TAU)
+    assert gtau.t and all(isinstance(c, GE) for c in gtau.t.values())
+    for i2 in (1, -1):
+        want = {}
+        for k, c in gtau.t.items():
+            for k2, c2 in v.gen_apply(i2, k).items():
+                want[k2] = want.get(k2, GQ(0)) + c.body() * c2
+        want = {k: GE.scalar(c, 2) for k, c in want.items() if c}
+        assert gtau.apply_gen(i2).t == want, i2
 
 
 def test_omega_is_half_g_tau_and_gives_virasoro_modes():
@@ -114,19 +194,18 @@ def test_omega_is_half_g_tau_and_gives_virasoro_modes():
             acc = {}
             for ok, c in omega.items():
                 for k2, c2 in v.mode_basis(ok, m, k).items():
-                    acc[k2] = acc.get(k2, GQ(0)) + GQ.lift(c) * c2
+                    acc[k2] = acc.get(k2, GQ(0)) + c.body() * c2
             acc = {kk: cc for kk, cc in acc.items() if cc}
-            want = dict(v.mod.gen_apply(2 * (m - 1), k))
+            want = fock_gen_apply_by_quadratic_sums(v, 2 * (m - 1), k)
             assert acc == want, (m, k)
 
 
 def test_l_minus_one_derivative_property():
     v = vosa()
-    mod = v.mod
     vecs = [ABOSE, PSIV, TAU, ((1, 1), (1,))]
     keys = [VAC, ABOSE, PSIV, TAU]
     for u in vecs:
-        lu = mod.gen_apply(-2, u)  # L(-1) u
+        lu = v.gen_apply(-2, u)  # L(-1) u
         for m in range(-4, 4):
             for k in keys:
                 acc = {}
@@ -159,17 +238,18 @@ def test_two_point_matches_direct_mode_sums():
     gu = v.gminus_half(u_key)
     gv = v.gminus_half(v_key)
     for n2 in range(-4, 4):
-        for s2, inner_vecs in ((0, {v_key: GQ(1)}), (1, dict(gv.t))):
+        for s2, inner_vecs in ((0, {v_key: GE.one(w)}), (1, dict(gv.t))):
             mid = {}
             for ik, ic in inner_vecs.items():
-                ic = GQ.lift(ic)
+                ic = ic.body()
                 for k2, c2 in v.mode_basis(ik, n2, w_key).items():
                     mid[k2] = mid.get(k2, GQ(0)) + ic * c2
             for n1 in range(-6, 6):
-                for s1, outer_vecs in ((0, {u_key: GQ(1)}), (1, dict(gu.t))):
+                for s1, outer_vecs in ((0, {u_key: GE.one(w)}),
+                                       (1, dict(gu.t))):
                     val = GQ(0)
                     for ok, oc in outer_vecs.items():
-                        oc = GQ.lift(oc)
+                        oc = oc.body()
                         for mk, mc in mid.items():
                             val = val + oc * mc * \
                                 v.mode_basis(ok, n1, mk).get(vp_key, GQ(0))
@@ -312,15 +392,15 @@ def test_skew_supersymmetry():
     for (uk, vk) in pairs:
         pu, pv = v.parity(uk), v.parity(vk)
         # rhs: Y(u,(x,ph)) v
-        rhs_vec = v.ytilde_apply(uk, v.mod.basis_vector(vk), X1, ph,
+        rhs_vec = v.ytilde_apply(uk, v.basis_vector(vk), X1, ph,
                                  nrange=(-8, (v.wt2(uk) + v.wt2(vk)) // 2 + 1))
         # lhs: exp(xL(-1) + ph G(-1/2)) Y(v,(-x,-ph)) u, with the series in
         # (-x, -ph) meaning each mode term picks up the corresponding signs
-        inner = v.ytilde_apply(vk, v.mod.basis_vector(uk), X1, ph,
+        inner = v.ytilde_apply(vk, v.basis_vector(uk), X1, ph,
                                nrange=(-8, (v.wt2(uk) + v.wt2(vk)) // 2 + 1))
         # substitute x -> -x, ph -> -ph
         minus = GE.scalar(-1, w)
-        inner_flipped = GradedVector(v.mod, {
+        inner_flipped = GradedVector(v, {
             k: c.subs({X1: minus * xv, PH1: minus * ph},
                       inverses={X1: (minus * xv).inverse()})
             for k, c in inner.t.items()})
@@ -341,7 +421,7 @@ def test_conjugation_by_grading_operator():
     x0 = GE.evar("y0", 1, w)
     for uk in (ABOSE, PSIV, TAU):
         for wk in (VAC, ABOSE, PSIV):
-            vec = v.mod.basis_vector(wk)
+            vec = v.basis_vector(wk)
             # lhs: x0^{2L0} Y(u,(x,ph)) x0^{-2L0} w
             inner = vec.apply_dilation(x0, -2, base_inv=x0inv)
             mid = v.ytilde_apply(uk, inner, X1, GE.ovar(PH1, w),
@@ -350,7 +430,7 @@ def test_conjugation_by_grading_operator():
             # rhs: Y(x0^{2L0} u, (x0^2 x, x0 ph)) w
             scale = GE.evar("y0", v.wt2(uk), w)
             rhs = v.ytilde_apply(uk, vec, X1, GE.ovar(PH1, w), nrange=(-6, 6))
-            rhs = GradedVector(v.mod, {
+            rhs = GradedVector(v, {
                 k: (scale * c).subs({X1: x0 * x0 * GE.evar(X1, 1, w),
                                      PH1: x0 * GE.ovar(PH1, w)},
                                     inverses={X1: x0inv * x0inv *
@@ -480,7 +560,7 @@ def mode_basis_by_span(mod):
 
 def test_mode_basis_selection_rule_matches_full_span():
     v = vosa()
-    ref = mode_basis_by_span(v.mod)
+    ref = mode_basis_by_span(v)
     us = list(enumerate_basis(4))
     ws = list(enumerate_basis(6))
     for u in us:
@@ -503,7 +583,7 @@ def test_mode_basis_memoises_no_level_forbidden_entry():
 def test_ytilde_apply_requires_a_mode_window():
     v = vosa()
     with pytest.raises(ValueError):
-        v.ytilde_apply(ABOSE, v.mod.basis_vector(PSIV), X1,
+        v.ytilde_apply(ABOSE, v.basis_vector(PSIV), X1,
                        GE.ovar(PH1, v.width))
 
 
