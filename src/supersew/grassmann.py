@@ -33,11 +33,20 @@ distinct monomials seen, never with the term pairs.  Packing an exponent of
 absolute value 2^30 or more raises ``OverflowError``, so one add never
 carries into the next field.  ``t`` keeps its ``(evens, odds)`` layout:
 code outside this module, the benchmark's checks among it, reads it.
+
+The values multiply over the Gaussian integers (clearing denominators, as
+in Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2):
+``mul`` takes each operand's least common denominator in one pass over its
+values and scales every value to a Gaussian integer over it.  The term
+pairs add plain integer sums per output key, and each nonzero sum becomes
+one canonical ``GQ`` over the product of the two denominators through
+``scalars._make``: one ``gcd`` per output term, none per term pair.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .scalars import GQ
+from .scalars import GQ, _make
 
 
 class WidthMismatch(ValueError):
@@ -113,11 +122,18 @@ _PACKED = _PackTable()
 _EVENS = _UnpackTable()
 
 
-def _packed_terms(t):
-    """The terms of a table as (packed evens, odds, value) triples."""
+def _denominator(t):
+    """The least common denominator of a table's values."""
+    return lcm(*{val._d for val in t.values()})
+
+
+def _packed_terms(t, d):
+    """The terms of a table as (packed evens, odds, re, im) quadruples, with
+    re + im*i the value times the common denominator ``d``."""
     out = []
     for (evens, odds), val in t.items():
-        out.append((_PACKED[evens], odds, val))
+        s = d // val._d
+        out.append((_PACKED[evens], odds, val._a * s, val._b * s))
     return out
 
 
@@ -136,26 +152,26 @@ def key_weight(key, weights):
     return w
 
 
-def _by_weight(t, cuts):
-    """The terms of a table grouped by their weighted degrees under the
-    (weights, cap) pairs of ``cuts``, as a list of ((w1, w2, ...), [(packed
-    evens, odds, value), ...]) sorted by weight, so w1 ascends."""
+def _by_weight(t, d, cuts):
+    """The ``_packed_terms`` of a table grouped by their weighted degrees
+    under the (weights, cap) pairs of ``cuts``, as a list of ((w1, w2, ...),
+    [term, ...]) sorted by weight, so w1 ascends."""
     wts = [weights for weights, _ in cuts]
     groups = {}
-    for key, val in t.items():
+    for key, term in zip(t, _packed_terms(t, d)):
         w = tuple([key_weight(key, weights) for weights in wts])
-        groups.setdefault(w, []).append((_PACKED[key[0]], key[1], val))
+        groups.setdefault(w, []).append(term)
     return sorted(groups.items())
 
 
-def _blocks_within(ta, tb, cut):
+def _blocks_within(ta, da, tb, db, cut):
     """The pairs (group of ta, group of tb) of ``_by_weight`` groups whose
     weights sum within every cap of ``cut``, one (weights, cap) pair or a
-    list of them."""
+    list of them; ``da`` and ``db`` are the tables' common denominators."""
     cuts = [cut] if isinstance(cut, tuple) else cut
     caps = [cap for _, cap in cuts]
-    gb = _by_weight(tb, cuts)
-    for wa, la in _by_weight(ta, cuts):
+    gb = _by_weight(tb, db, cuts)
+    for wa, la in _by_weight(ta, da, cuts):
         for wb, lb in gb:
             over = [a + b > cap for a, b, cap in zip(wa, wb, caps)]
             if over[0]:
@@ -260,33 +276,39 @@ class GrassmannElement:
         and the same at every pair of a list.  Weights add under the product,
         so a pair of terms whose weights sum past a cap is never formed.
         Each operand term's evens are packed once, a pair's evens are one
-        add, and each output key is decoded once."""
+        add, and each output key is decoded once.  The values are Gaussian
+        integers over each operand's common denominator, summed per output
+        key with no GQ arithmetic, and made one canonical GQ at the end."""
         other = self.lift(other)
         width = self._join_width(other)
+        da, db = _denominator(self.t), _denominator(other.t)
         if cut:
-            blocks = _blocks_within(self.t, other.t, cut)
+            blocks = _blocks_within(self.t, da, other.t, db, cut)
         else:
-            blocks = ((_packed_terms(self.t), _packed_terms(other.t)),)
+            blocks = ((_packed_terms(self.t, da), _packed_terms(other.t, db)),)
         t = {}
         for ta, tb in blocks:
-            for pa, oa, va in ta:
-                for pb, ob, vb in tb:
+            for pa, oa, ra, ia in ta:
+                for pb, ob, rb, ib in tb:
                     odds, sign = _merge_odds(oa, ob)
                     if odds is None:
                         continue
                     key = (pa + pb, odds)
-                    val = va * vb
+                    re = ra * rb - ia * ib
+                    im = ra * ib + ia * rb
                     if sign < 0:
-                        val = -val
+                        re, im = -re, -im
                     cur = t.get(key)
-                    val = cur + val if cur is not None else val
-                    if val:
-                        t[key] = val
+                    if cur is None:
+                        t[key] = [re, im]
                     else:
-                        t.pop(key, None)
+                        cur[0] += re
+                        cur[1] += im
+        d = da * db
         out = {}
-        for (p, odds), val in t.items():
-            out[_EVENS[p], odds] = val
+        for (p, odds), (re, im) in t.items():
+            if re or im:
+                out[_EVENS[p], odds] = _make(re, im, d)
         return GrassmannElement(width, out)
 
     __mul__ = __rmul__ = mul

@@ -13,6 +13,11 @@ or ``Fraction`` find each other in sets and dicts.  A product costs four
 integer multiplies and one ``math.gcd`` (none when the denominators
 multiply to 1).  The rational parts are read through the ``re`` and ``im``
 properties, which build ``Fraction`` values on demand.
+
+``_make`` builds the canonical value from an integer triple.  The product
+kernel in ``grassmann`` sums Gaussian integers over a common denominator
+and builds each output value with it, once per output term, so it makes no
+``GQ`` per pair of terms.
 """
 
 from fractions import Fraction

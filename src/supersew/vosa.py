@@ -48,9 +48,6 @@ class FockVOSA(FockModule):
 
     # -- structure ----------------------------------------------------------
 
-    def wt2(self, key):
-        return level_of(key)
-
     def parity(self, key):
         return len(key[1]) % 2
 
@@ -77,7 +74,7 @@ class FockVOSA(FockModule):
             raise ValueError("give target2 or nrange")
         u_pieces = [(u, None)]
         gu_pieces = list(self.gminus_half(u).t.items())
-        ulev2 = self.wt2(u)
+        ulev2 = self.weight2(u)
         out = {}
         w = self.width
         for key, b in vec.t.items():
@@ -129,7 +126,7 @@ def two_point(vosa, vp_key, u_key, v_key, w_key, n2_lo,
     wv = vosa.basis_vector(w_key)
     inner = vosa.ytilde_apply(
         v_key, wv, ev_inner, GE.ovar(ph_inner, w),
-        nrange=(n2_lo, (vosa.wt2(v_key) + level_of(w_key)) // 2 + 1))
+        nrange=(n2_lo, (vosa.weight2(v_key) + level_of(w_key)) // 2 + 1))
     outer = vosa.ytilde_apply(
         u_key, inner, ev_outer, GE.ovar(ph_outer, w),
         target2=level_of(vp_key))
@@ -148,7 +145,7 @@ def iterate_series(vosa, vp_key, u_key, v_key, w_key, n0_lo):
     odd_comb = GE.ovar(PH1, w) - GE.ovar(PH2, w)
     inner = vosa.ytilde_apply(
         u_key, vv, X0, odd_comb,
-        nrange=(n0_lo, (vosa.wt2(u_key) + vosa.wt2(v_key)) // 2 + 1))
+        nrange=(n0_lo, (vosa.weight2(u_key) + vosa.weight2(v_key)) // 2 + 1))
     out = GE.zero(w)
     wv = vosa.basis_vector(w_key)
     for ikey, ic in inner.t.items():

@@ -222,7 +222,7 @@ def test_truncation_property():
     v = vosa()
     for u in (ABOSE, PSIV, TAU, ((2,), (3, 1))):
         for w in (VAC, ABOSE, TAU):
-            hi = (v.wt2(u) + v.wt2(w)) // 2 + 1
+            hi = (v.weight2(u) + v.weight2(w)) // 2 + 1
             for n in range(hi, hi + 3):
                 assert v.mode_basis(u, n, w) == {}
 
@@ -393,11 +393,11 @@ def test_skew_supersymmetry():
         pu, pv = v.parity(uk), v.parity(vk)
         # rhs: Y(u,(x,ph)) v
         rhs_vec = v.ytilde_apply(uk, v.basis_vector(vk), X1, ph,
-                                 nrange=(-8, (v.wt2(uk) + v.wt2(vk)) // 2 + 1))
+                                 nrange=(-8, (v.weight2(uk) + v.weight2(vk)) // 2 + 1))
         # lhs: exp(xL(-1) + ph G(-1/2)) Y(v,(-x,-ph)) u, with the series in
         # (-x, -ph) meaning each mode term picks up the corresponding signs
         inner = v.ytilde_apply(vk, v.basis_vector(uk), X1, ph,
-                               nrange=(-8, (v.wt2(uk) + v.wt2(vk)) // 2 + 1))
+                               nrange=(-8, (v.weight2(uk) + v.weight2(vk)) // 2 + 1))
         # substitute x -> -x, ph -> -ph
         minus = GE.scalar(-1, w)
         inner_flipped = GradedVector(v, {
@@ -428,7 +428,7 @@ def test_conjugation_by_grading_operator():
                                  nrange=(-6, 6))
             lhs = mid.apply_dilation(x0, 2, base_inv=x0inv)
             # rhs: Y(x0^{2L0} u, (x0^2 x, x0 ph)) w
-            scale = GE.evar("y0", v.wt2(uk), w)
+            scale = GE.evar("y0", v.weight2(uk), w)
             rhs = v.ytilde_apply(uk, vec, X1, GE.ovar(PH1, w), nrange=(-6, 6))
             rhs = GradedVector(v, {
                 k: (scale * c).subs({X1: x0 * x0 * GE.evar(X1, 1, w),
