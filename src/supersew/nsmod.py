@@ -94,9 +94,6 @@ def enumerate_basis(level2_cap):
 
 
 class _ModuleBase:
-    def vector(self, table=None):
-        return GradedVector(self, dict(table or {}))
-
     def basis_vector(self, key, coeff=1):
         co = coeff if isinstance(coeff, GE) else GE.scalar(coeff, self.width)
         return GradedVector(self, {key: co})
@@ -383,27 +380,18 @@ class GradedVector:
                     out.pop(k2, None)
         return GradedVector(mod, out)
 
-    def apply_dilation(self, base, lpow=-2, base_inv=None, trunc=None):
-        """(base)^{lpow * L(0)}: scale the weight-k piece by base^(lpow*k).
+    def apply_dilation(self, base, lpow, base_inv):
+        """(base)^{lpow * L(0)}: scale the weight-k piece by base^(lpow*k),
+        using ``base_inv`` for the negative powers.
 
         lpow must be even so exponents stay integral on half-integer
         weights."""
         if lpow % 2:
             raise ValueError("dilation power must be even")
-        if not isinstance(base, GE):
-            base = GE.scalar(base, self.module.width)
-        need_inv = any((lpow * self.module.weight2(k)) // 2 < 0
-                       for k in self.t)
-        binv = base_inv
-        if need_inv and binv is None:
-            binv = base.inverse(trunc)
         t = {}
         for k, v in self.t.items():
             e = (lpow * self.module.weight2(k)) // 2
-            if e >= 0:
-                t[k] = (base ** e) * v
-            else:
-                t[k] = (binv ** (-e)) * v
+            t[k] = (base ** e if e >= 0 else base_inv ** -e) * v
         return GradedVector(self.module, t)
 
     def pair(self, dual):

@@ -181,12 +181,15 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
 
 
 def solve_gamma(asqrt, A, M, B, N, degree_cap):
-    """The central-charge series of the sewing factorization.
+    """The central-charge series Gamma of the sewing factorization.
 
-    Extracted on a Verma-type module with symbolic central charge: the
-    highest-weight component of the left side equals exp(Gamma*c) times that
-    of the regrouped right side; Gamma is the c-linear part of its logarithm
-    (checked to be exactly c-linear).
+    On the Verma-type module with h = 0 and symbolic central charge c, with
+    v0 its vacuum, Gamma * c = log <v0*, exp(-A.L+) asqrt^{-2L(0)}
+    exp(-B.L-) v0>, the logarithm of the vacuum coefficient of the left side
+    of the factorization (checked to be exactly c-linear); this is Huang's
+    vacuum matrix element definition of the projective factor.  The entries
+    are marked by "u" (A, M) and "v" (B, N) and cut at total degree
+    degree_cap.
     """
     from .nsmod import VermaModule, exp_act
 
@@ -196,45 +199,25 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
     d = CoordData(asqrt, A, M).scale_marker("u")
     inf = InfCoordData(B, N).scale_marker("v")
     trunc = ({"u": 1, "v": 1}, degree_cap)
-    psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, degree_cap, trunc, w)
-    ai = asqrt.inverse(trunc)
 
+    # The regrouped right side exp(psi-) exp(psi+) (asqrt e^{-psi0})^{-2L(0)}
+    # v0 has vacuum coefficient exactly 1 for every psi, because h = 0: L(0)
+    # kills v0, and so does every lowering generator in psi+, while the
+    # raising ones in psi- only add levels.  So Gamma needs the left side
+    # alone.
     mod = VermaModule(width=w)
-    vh = mod.basis_vector(mod.vacuum_key())
-
-    lhs = exp_act(vh, ns_terms(inf.A, inf.M, negate=True, raising=True),
-                  trunc=trunc)
-    lhs = lhs.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
-    lhs = exp_act(lhs, ns_terms(d.A, d.M, negate=True), trunc=trunc)
-
-    rhs = vh.apply_dilation(asqrt, -2, base_inv=ai, trunc=trunc)
-    p0 = psi.get(0, GE.zero(w))
-    rhs = _graded_scale(rhs, p0, trunc)
-    rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 > 0],
-                  trunc=trunc)
-    rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 < 0],
-                  trunc=trunc)
-
     vac = mod.vacuum_key()
-    w0 = lhs.t.get(vac, GE.zero(w))
-    u0 = rhs.t.get(vac, GE.zero(w))
-    ratio = w0.mul(u0.inverse(trunc), trunc)
-    gc = ge_log(ratio, trunc)
+    vec = exp_act(mod.basis_vector(vac),
+                  ns_terms(inf.A, inf.M, negate=True, raising=True),
+                  trunc=trunc)
+    vec = vec.apply_dilation(asqrt, -2, asqrt.inverse(trunc))
+    vec = exp_act(vec, ns_terms(d.A, d.M, negate=True), trunc=trunc)
+    gc = ge_log(vec.t.get(vac, GE.zero(w)), trunc)
     for (evens, _odds) in gc.t:
         if dict(evens).get("c", 0) != 1:
             raise SewError("central-charge series is not c-linear: %r" % gc)
     one = GE.one(w)
     return gc.diff_even("c").subs({"u": one, "v": one})
-
-
-def _graded_scale(vec, p0, trunc):
-    """exp(2 * p0 * L(0)) on a graded vector: weight-k piece times
-    exp(2 k p0)."""
-    out = {}
-    for key, coeff in vec.t.items():
-        k2 = vec.module.weight2(key)
-        out[key] = ge_exp(p0 * k2, trunc) * coeff
-    return vec.module.vector(out)
 
 
 # -- sewn-coordinate series --------------------------------------------------

@@ -23,7 +23,7 @@ def bracket_in_module(mod, v, i2, j2):
 
 
 def expected_bracket(mod, v, i2, j2):
-    out = mod.vector({})
+    out = GradedVector(mod, {})
     for sym, coeff in ns_bracket_gens(i2, j2):
         if sym[0] == "d":
             out = out + v.scale(mod.central * coeff)
@@ -125,14 +125,14 @@ def test_fock_commutators():
     vac = mod.basis_vector(mod.vacuum_key())
     # a(1) a(-1) vac = vac
     got = GradedVector(mod, mod.a_apply(-1, mod.vacuum_key()))
-    got2 = mod.vector({})
+    got2 = GradedVector(mod, {})
     for k, v in got.t.items():
         for k2, v2 in mod.a_apply(1, k).items():
             got2 = got2 + mod.basis_vector(k2, v * v2)
     assert got2 == vac
     # psi(1/2) psi(-1/2) vac = vac
     got = GradedVector(mod, mod.psi_apply(-1, mod.vacuum_key()))
-    got2 = mod.vector({})
+    got2 = GradedVector(mod, {})
     for k, v in got.t.items():
         for k2, v2 in mod.psi_apply(1, k).items():
             got2 = got2 + mod.basis_vector(k2, v * v2)

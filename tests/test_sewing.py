@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from supersew.scalars import GQ
-from supersew.grassmann import GrassmannElement as GE, ge_exp
-from supersew.nscoord import (CoordData, InfCoordData, e_hat, inf_exp_map,
-                              ns_terms)
+from supersew import sewing
+from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
+from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
+                              inf_exp_map, ns_terms)
+from supersew.nsmod import VermaModule, exp_act
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
                              solve_psi, tangent_functional,
                              tangent_functional_closed_form, theta1, theta2)
@@ -67,6 +69,86 @@ def test_gamma_leading_coefficients():
 def test_gamma_requires_cap_two():
     with pytest.raises(ValueError):
         solve_gamma(AH, {}, {}, {}, {}, 1)
+
+
+def _gamma_by_ratio(asqrt, A, M, B, N, cap):
+    """Gamma as the log of the left side's vacuum coefficient over that of
+    the right side regrouped by solve_psi's table; also returns the right
+    side's vacuum coefficient."""
+    w = data_width(asqrt, A, M, B, N)
+    d = CoordData(asqrt, A, M).scale_marker("u")
+    inf = InfCoordData(B, N).scale_marker("v")
+    trunc = ({"u": 1, "v": 1}, cap)
+    psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, cap, trunc, w)
+    ai = asqrt.inverse(trunc)
+    mod = VermaModule(width=w)
+    vac = mod.vacuum_key()
+    vh = mod.basis_vector(vac)
+    lhs = exp_act(vh, ns_terms(inf.A, inf.M, negate=True, raising=True),
+                  trunc=trunc)
+    lhs = lhs.apply_dilation(asqrt, -2, ai)
+    lhs = exp_act(lhs, ns_terms(d.A, d.M, negate=True), trunc=trunc)
+    p0 = psi.get(0, GE.zero(w))
+    rhs = vh.apply_dilation(asqrt * ge_exp(-p0, trunc), -2,
+                            ai * ge_exp(p0, trunc))
+    rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 > 0],
+                  trunc=trunc)
+    rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 < 0],
+                  trunc=trunc)
+    w0 = lhs.t.get(vac, GE.zero(w))
+    u0 = rhs.t.get(vac, GE.zero(w))
+    gc = ge_log(w0.mul(u0.inverse(trunc), trunc), trunc)
+    one = GE.one(w)
+    return gc.diff_even("c").subs({"u": one, "v": one}), u0
+
+
+def test_gamma_needs_only_the_left_side(monkeypatch):
+    # on the h = 0 vacuum the regrouped right side has vacuum coefficient 1,
+    # so solve_gamma reads Gamma off the left side without solving for psi
+    rng = random.Random(21)
+    asqrts = [sc(2) + z(1) * z(2), sc(Fraction(1, 3)), AH, sc(1) + z(7) * z(8)]
+
+    def even():
+        return rng.choice([sc(rng.choice([-2, -1, 1, 2])), z(3) * z(4),
+                           sc(1) + z(5) * z(6)])
+
+    def odd():
+        return rng.randrange(1, 3) * z(rng.randrange(1, 9))
+
+    def entries(value, odd_keys):
+        keys = rng.sample([1, 3, 5] if odd_keys else [1, 2, 3],
+                          rng.randrange(3))
+        return {k: value() for k in keys}
+
+    cases = [(rng.choice(asqrts), entries(even, False), entries(odd, True),
+              entries(even, False), entries(odd, True), 2 + k % 2)
+             for k in range(10)]
+    refs = [_gamma_by_ratio(*case) for case in cases]
+
+    def refuse(*_args, **_kw):
+        raise AssertionError("solve_gamma solved the sewing factorization")
+    monkeypatch.setattr(sewing, "solve_psi", refuse)
+    for case, (ref, u0) in zip(cases, refs):
+        assert u0 == GE.one(W), case
+        assert solve_gamma(*case) == ref, case
+
+
+def test_gamma_closed_form_on_one_index():
+    # L_{-j}, L_0, L_j span an sl_2 with [L_j, L_{-j}] = 2j L_0 +
+    # c (j^3 - j)/12, so on the vacuum <e^{-t L_j} a^{-2 L_0} e^{-t L_{-j}}>
+    # = (1 - j^2 a^{-2j} t^2)^{-c (j^2 - 1)/(12 j)}
+    for j in (1, 2, 3):
+        for a in (1, 2, Fraction(1, 3)):
+            x = Fraction(j * j) / Fraction(a) ** (2 * j)
+            for cap in (8, 12):
+                want = GE.zero(W)
+                for n in range(1, cap // 2 + 1):
+                    coeff = Fraction(j * j - 1, 12 * j) * x ** n / n
+                    if coeff:
+                        want = want + sc(coeff) * GE.evar("t", 2 * n, W)
+                t = GE.evar("t", 1, W)
+                got = solve_gamma(sc(a), {j: t}, {}, {j: t}, {}, cap)
+                assert got == want, (j, a, cap)
 
 
 def random_coord(rng, maxidx=2):

@@ -374,6 +374,35 @@ def test_iota_expansions_of_simple_pole():
     assert not diff.t
 
 
+def test_rational_superfunction_eval_at_multiplies_back():
+    # g / (za^r zb^s (za - zb - ta tb)^t) times its denominator is g at the
+    # point, for either sign of each exponent
+    w = W
+    rng = random.Random(5)
+    ph1, ph2 = GE.ovar(PH1, w), GE.ovar(PH2, w)
+    for _ in range(30):
+        num = GE.zero(w)
+        for _k in range(3):
+            odd = rng.choice([GE.one(w), ph1, ph2, ph1 * ph2])
+            num = num + GE.scalar(Fraction(rng.randrange(-3, 4), 2), w) * \
+                GE.evar(X1, rng.randrange(-1, 3), w) * \
+                GE.evar(X2, rng.randrange(-1, 3), w) * odd
+        r, s, t = rng.randrange(-2, 3), rng.randrange(-2, 3), \
+            rng.randrange(-2, 4)
+        za = GE.scalar(rng.choice([2, 3]), w) + \
+            rng.randrange(-1, 2) * GE.gen(1, w) * GE.gen(2, w)
+        zb = GE.scalar(rng.choice([-1, 1]), w) + \
+            rng.randrange(-1, 2) * GE.gen(3, w) * GE.gen(4, w)
+        ta = rng.randrange(-1, 2) * GE.gen(1, w) + GE.gen(3, w)
+        tb = GE.gen(rng.choice([2, 4]), w)
+        f = RationalSuperfunction(num, r, s, t)
+        got = f.eval_at(za, ta, zb, tb)
+        for base, e in ((za, r), (zb, s), (za - zb - ta * tb, t)):
+            got = got * (base ** e if e >= 0 else base.inverse() ** -e)
+        want = num.subs({X1: za, X2: zb, PH1: ta, PH2: tb})
+        assert got == want, (r, s, t)
+
+
 def test_iota_on_polynomial_is_identity():
     w = W
     num = GE.evar(X1, 2, w) * GE.evar(X2, 1, w) + GE.one(w)
