@@ -14,6 +14,11 @@ odd bookkeeping variables (odd series variables, odd coefficient markers).
 Products pick up the usual sign: swapping two odd generators costs -1, and a
 repeated odd generator kills the term.
 
+No sparse table stores a zero value: not an element's, nor a module
+vector's or a mode table's in ``nsmod`` and ``vosa``.  Every sum into such
+a table goes through ``add_into``, which removes a key whose sum cancels,
+so two equal values have equal tables.
+
 body  = coefficient of the completely empty monomial;
 soul  = everything else;
 an element with no even indeterminates is invertible iff its body is nonzero,
@@ -183,6 +188,18 @@ def _blocks_within(ta, da, tb, db, cut):
 EMPTY_KEY = ((), ())
 
 
+def add_into(t, key, val):
+    """Add ``val`` into the table ``t`` at ``key``, removing the key when
+    the sum is zero: the one sparse sum, so that no table stores a zero."""
+    cur = t.get(key)
+    if cur is not None:
+        val = cur + val
+    if val:
+        t[key] = val
+    else:
+        t.pop(key, None)
+
+
 class GrassmannElement:
     """Sparse supercommutative element; immutable by convention."""
 
@@ -251,12 +268,7 @@ class GrassmannElement:
         width = self._join_width(other)
         t = dict(self.t)
         for key, val in other.t.items():
-            cur = t.get(key)
-            s = cur + val if cur is not None else val
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
+            add_into(t, key, val)
         return GrassmannElement(width, t)
 
     __radd__ = __add__
@@ -463,39 +475,22 @@ class GrassmannElement:
         """Left partial derivative with respect to an odd generator."""
         t = {}
         for (evens, odds), val in self.t.items():
-            if oid not in odds:
-                continue
-            pos = odds.index(oid)
-            new = odds[:pos] + odds[pos + 1:]
-            v = -val if pos & 1 else val
-            key = (evens, new)
-            cur = t.get(key)
-            v = cur + v if cur is not None else v
-            if v:
-                t[key] = v
-            else:
-                t.pop(key, None)
+            if oid in odds:
+                # distinct keys lose oid to distinct keys: nothing to sum
+                pos = odds.index(oid)
+                t[evens, odds[:pos] + odds[pos + 1:]] = \
+                    -val if pos & 1 else val
         return GrassmannElement(self.width, t)
 
     def diff_even(self, name):
         t = {}
         for (evens, odds), val in self.t.items():
-            d = dict(evens)
-            e = d.get(name, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                d.pop(name)
-            else:
-                d[name] = e - 1
-            key = (tuple(sorted(d.items())), odds)
-            v = val * e
-            cur = t.get(key)
-            v = cur + v if cur is not None else v
-            if v:
-                t[key] = v
-            else:
-                t.pop(key, None)
+            e = dict(evens).get(name, 0)
+            if e:
+                # distinct keys lower the exponent to distinct keys
+                low = tuple((n, x - 1 if n == name else x)
+                            for n, x in evens if n != name or x != 1)
+                t[low, odds] = val * e
         return GrassmannElement(self.width, t)
 
     def subs(self, mapping, inverses=None, truncs=None):
@@ -560,12 +555,7 @@ class GrassmannElement:
             if piece.width != width:
                 width = GrassmannElement(width, t)._join_width(piece)
             for key, val in piece.t.items():
-                cur = t.get(key)
-                val = cur + val if cur is not None else val
-                if val:
-                    t[key] = val
-                else:
-                    t.pop(key, None)
+                add_into(t, key, val)
         return GrassmannElement(width, t)
 
     # -- presentation ------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .scalars import GQ
-from .grassmann import GrassmannElement as GE
+from .grassmann import GrassmannElement as GE, add_into
 
 
 VAC = ((), ())
@@ -126,30 +126,21 @@ class VermaModule(_ModuleBase):
             return got
         ls, gs = key
         out = {}
-
-        def add(k, v):
-            cur = out.get(k)
-            v = cur + v if cur is not None else v
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-
         if not ls and not gs:
             if i2 < 0:
-                add(((-i2 // 2,), ()) if i2 % 2 == 0 else ((), (-i2,)),
-                    GE.one(self.width))
+                add_into(out, ((-i2 // 2,), ()) if i2 % 2 == 0
+                         else ((), (-i2,)), GE.one(self.width))
             elif i2 == 0 and self.h:
-                add(key, GE.scalar(self.h, self.width))
+                add_into(out, key, GE.scalar(self.h, self.width))
         elif i2 % 2 == 0 and i2 // 2 <= (-ls[0] if ls else -1):
             # creation L(n) in front of the word is already in PBW place
-            add(((-i2 // 2,) + ls, gs), GE.one(self.width))
+            add_into(out, ((-i2 // 2,) + ls, gs), GE.one(self.width))
         elif i2 % 2 and not ls and -i2 > gs[0]:
-            add(((), (-i2,) + gs), GE.one(self.width))
+            add_into(out, ((), (-i2,) + gs), GE.one(self.width))
         elif i2 % 2 and not ls and -i2 == gs[0]:
             # G(r)G(r) = L(2r)
             for k3, v3 in self.gen_apply(2 * i2, ((), gs[1:])).items():
-                add(k3, v3)
+                add_into(out, k3, v3)
         else:
             # gen X tail = (-1)^(|gen||X|) X (gen tail) + [gen, X] tail, X the
             # word's leading creation operator
@@ -158,14 +149,14 @@ class VermaModule(_ModuleBase):
             odd = i2 % 2 and x2 % 2
             for k2, v2 in self.gen_apply(i2, tail).items():
                 for k3, v3 in self.gen_apply(x2, k2).items():
-                    add(k3, -(v3 * v2) if odd else v3 * v2)
+                    add_into(out, k3, -(v3 * v2) if odd else v3 * v2)
             for sym, coeff in ns_bracket_gens(i2, x2):
                 if sym[0] == "d":
-                    add(tail, self.central * coeff)
+                    add_into(out, tail, self.central * coeff)
                 else:
                     for k3, v3 in self.gen_apply(sym_idx2(sym),
                                                  tail).items():
-                        add(k3, v3 * coeff)
+                        add_into(out, k3, v3 * coeff)
         memo[(i2, key)] = out
         return out
 
@@ -267,23 +258,11 @@ class FockModule(_ModuleBase):
                 # g_{r-i} (u1_{m+i} w)
                 for k1, v1 in self.mode_basis(u1, m + i, w_key).items():
                     for k2, v2 in self.mode_basis(g_key, r - i, k1).items():
-                        val = c * v1 * v2
-                        cur = out.get(k2)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[k2] = val
-                        else:
-                            out.pop(k2, None)
+                        add_into(out, k2, c * v1 * v2)
                 # - (-1)^(r + pg p1) u1_{r+m-i} (g_i w)
                 for k1, v1 in self.mode_basis(g_key, i, w_key).items():
                     for k2, v2 in self.mode_basis(u1, r + m - i, k1).items():
-                        val = c * v1 * v2 * (-sgn_swap)
-                        cur = out.get(k2)
-                        val = val if cur is None else cur + val
-                        if val:
-                            out[k2] = val
-                        else:
-                            out.pop(k2, None)
+                        add_into(out, k2, c * v1 * v2 * (-sgn_swap))
         memo[(u_key, m, w_key)] = out
         return out
 
@@ -297,13 +276,7 @@ class FockModule(_ModuleBase):
         for k, c in self.mode_basis(TAU, 0, TAU).items():
             c = half * c
             for k2, v2 in self.mode_basis(k, i2 // 2 + 1, key).items():
-                val = c * v2
-                cur = out.get(k2)
-                val = val if cur is None else cur + val
-                if val:
-                    out[k2] = val
-                else:
-                    out.pop(k2, None)
+                add_into(out, k2, c * v2)
         return out
 
 
@@ -319,12 +292,7 @@ class GradedVector:
     def __add__(self, other):
         t = dict(self.t)
         for k, v in other.t.items():
-            cur = t.get(k)
-            s = cur + v if cur is not None else v
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+            add_into(t, k, v)
         return GradedVector(self.module, t)
 
     def __sub__(self, other):
@@ -372,12 +340,7 @@ class GradedVector:
             if coeff is not None:
                 fac = coeff * fac
             for k2, v2 in mod.gen_apply(i2, key).items():
-                cur = out.get(k2)
-                val = fac * v2 if cur is None else cur + fac * v2
-                if val:
-                    out[k2] = val
-                else:
-                    out.pop(k2, None)
+                add_into(out, k2, fac * v2)
         return GradedVector(mod, out)
 
     def apply_dilation(self, base, lpow, base_inv):

@@ -367,10 +367,8 @@ class SuperMap:
                    SuperSeries.odd_variable(width))
 
     @classmethod
-    def dilation(cls, asq, width=None):
-        """The map (a^2 x, a phi) of a^{-2L_0}."""
-        if not isinstance(asq, GE):
-            asq = GE.scalar(asq, width or 0)
+    def dilation(cls, asq):
+        """The map (a^2 x, a phi) of a^{-2L_0}, for an element a."""
         w = asq.width
         x = GE.evar(XVAR, 1, w)
         ph = GE.ovar(PHI, w)
@@ -385,24 +383,17 @@ class SuperMap:
                    SuperSeries(GE.scalar(GQ(0, 1), width) * ph * xinv))
 
     @classmethod
-    def shift(cls, z, theta, width=None):
-        """s_(z,theta): (x, phi) -> (x - z - phi*theta, phi - theta)."""
-        if not isinstance(z, GE):
-            z = GE.scalar(z, width or 0)
-        if not isinstance(theta, GE):
-            theta = GE.scalar(theta, z.width)
+    def shift(cls, z, theta):
+        """s_(z,theta): (x, phi) -> (x - z - phi*theta, phi - theta), for
+        elements z and theta."""
         w = max(z.width, theta.width)
         x = GE.evar(XVAR, 1, w)
         ph = GE.ovar(PHI, w)
         return cls(SuperSeries(x - z - ph * theta), SuperSeries(ph - theta))
 
     @classmethod
-    def shift_inverse(cls, z, theta, width=None):
-        if not isinstance(z, GE):
-            z = GE.scalar(z, width or 0)
-        if not isinstance(theta, GE):
-            theta = GE.scalar(theta, z.width)
-        return cls.shift(-z, -theta, width)
+    def shift_inverse(cls, z, theta):
+        return cls.shift(-z, -theta)
 
     def __eq__(self, other):
         if isinstance(other, SuperMap):

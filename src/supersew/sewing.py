@@ -288,7 +288,7 @@ def theta2(B, N, point, order, idxcap=None, finalize=True, as_data=False):
     zi = z.inverse()
     zt, tht = hdi.eval_at(z, th, zinv=zi, trunc=trunc)
     wcap = idxcap + 2
-    chain = SuperMap.shift_inverse(zt, tht, width=w)
+    chain = SuperMap.shift_inverse(zt, tht)
     chain = chain.then(hd, wcap=wcap, trunc=trunc)
     chain = chain.then(SuperMap.shift(z, th), wcap=wcap, trunc=trunc)
     td = e_hat_inv(chain, order=idxcap, trunc=trunc)
@@ -318,7 +318,7 @@ def _inf_chain(p, f_inv, hd, wcap, trunc, w):
     ``f_inv`` (none when None), then the exponential map ``hd``."""
     chain = SuperMap(SuperSeries(GE.evar(XVAR, -1, w)),
                      SuperSeries(GE.ovar(PHI, w)))
-    shift = None if p is None else SuperMap.shift_inverse(p[0], p[1], width=w)
+    shift = None if p is None else SuperMap.shift_inverse(p[0], p[1])
     for f in (shift, f_inv, hd):
         if f is not None:
             chain = chain.then(f, wcap=wcap, trunc=trunc)
@@ -391,11 +391,10 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         wc = wcap
         for _attempt in range(5):
             chain = SuperMap.identity(w) if p is None else \
-                SuperMap.shift_inverse(p[0], p[1], width=w)
+                SuperMap.shift_inverse(p[0], p[1])
             chain = chain.then(f_inv, wcap=wc, trunc=trunc)
             if center is not None:
-                chain = chain.then(SuperMap.shift(center[0], center[1],
-                                                  width=w),
+                chain = chain.then(SuperMap.shift(center[0], center[1]),
                                    wcap=wc, trunc=trunc)
             chain = chain.then(hmap, wcap=wc, trunc=trunc)
             try:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .scalars import GQ
-from .grassmann import GrassmannElement as GE
+from .grassmann import GrassmannElement as GE, add_into
 # the basis vectors ABOSE, PSIV, TAU and VAC are named here for callers
 from .nsmod import (ABOSE, PSIV, TAU, VAC, FockModule, GradedVector,
                     level_of)
@@ -103,13 +103,7 @@ class FockVOSA(FockModule):
                         bb = b.parity_twist() if self.parity(pkey) else b
                         coeff = fac * bb
                         for k2, v2 in res.items():
-                            cur = out.get(k2)
-                            val = coeff * v2 if cur is None else \
-                                cur + coeff * v2
-                            if val:
-                                out[k2] = val
-                            else:
-                                out.pop(k2, None)
+                            add_into(out, k2, coeff * v2)
         return GradedVector(self, out)
 
 

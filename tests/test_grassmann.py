@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from supersew.scalars import GQ
 from supersew.grassmann import (GrassmannElement as GE, NotInvertible,
-                                WidthMismatch, _merge_odds, key_weight)
+                                WidthMismatch, _merge_odds, add_into,
+                                key_weight)
 
 W = 6
 
@@ -211,6 +212,42 @@ def test_diff_odd_left_derivative():
     a = z(1) * z(2)
     assert a.diff_odd(("z", 1)) == z(2)
     assert a.diff_odd(("z", 2)) == -z(1)
+
+
+def test_add_into_inserts_adds_and_drops_cancelled_keys():
+    for one in (GQ(1), GE.one(W)):
+        t = {}
+        add_into(t, "k", one + one)
+        assert t == {"k": one + one}
+        add_into(t, "k", one)
+        add_into(t, "j", -one)
+        assert t == {"k": one + one + one, "j": -one}
+        add_into(t, "k", -(one + one + one))
+        assert t == {"j": -one}
+        add_into(t, "j", one)
+        assert t == {}
+
+
+def test_sum_with_the_negative_is_empty():
+    rng = random.Random(22)
+    for _ in range(10):
+        a = random_element(rng, nterms=4)
+        assert (a + (-a)).t == {}
+
+
+def test_diff_even_matches_termwise_sum():
+    # distinct keys go to distinct keys, so diff_even writes its table
+    # directly; summing the termwise derivatives is the reference
+    rng = random.Random(24)
+    for _ in range(30):
+        el = random_laurent_element(rng)
+        for name in ("u", "x"):
+            ref = GE.zero(W)
+            for key, val in el.t.items():
+                e = dict(key[0]).get(name, 0)
+                if e:
+                    ref = ref + GE(W, {key: val * e}) * GE.evar(name, -1, W)
+            assert el.diff_even(name) == ref
 
 
 def test_subs_odd_respects_order():

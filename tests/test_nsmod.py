@@ -139,6 +139,22 @@ def test_fock_commutators():
     assert got2 == vac
 
 
+def test_cancelling_sums_store_no_zero():
+    mod = VermaModule(width=4)
+    v = GradedVector(mod, {})
+    for k, key in enumerate(enumerate_basis(4)):
+        v = v + mod.basis_vector(key, GE.evar("c", k % 3, 4)
+                                 + GE.gen(1, 4) * GE.gen(2, 4))
+    assert (v + (-v)).t == {}
+    # no mode table of the Fock module keeps a cancelled key
+    fock = FockModule()
+    keys = enumerate_basis(6)
+    for u in keys:
+        for w in keys:
+            for m in range(-3, 7):
+                assert all(fock.mode_basis(u, m, w).values()), (u, m, w)
+
+
 def test_fock_weights():
     mod = FockModule()
     key = ((1,), (1,))  # a(-1) psi(-1/2) vac

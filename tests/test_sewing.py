@@ -8,7 +8,7 @@ from supersew import sewing
 from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
 from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
                               inf_exp_map, ns_terms)
-from supersew.nsmod import VermaModule, exp_act
+from supersew.nsmod import VermaModule, enumerate_basis, exp_act
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
                              solve_psi, tangent_functional,
                              tangent_functional_closed_form, theta1, theta2)
@@ -149,6 +149,65 @@ def test_gamma_closed_form_on_one_index():
                 t = GE.evar("t", 1, W)
                 got = solve_gamma(sc(a), {j: t}, {}, {j: t}, {}, cap)
                 assert got == want, (j, a, cap)
+
+
+def _tube_operator(q, vec, trunc):
+    """T(Q) v = exp(-B.L-) exp(-A.L+) asqrt^{-2L(0)} v for the one-tube
+    point Q = (inf (B, N); coord (asqrt, A, M)), cut by ``trunc``."""
+    d, inf = q.coords[0], q.inf
+    vec = vec.apply_dilation(d.asqrt, -2, d.asqrt.inverse(trunc))
+    vec = exp_act(vec, ns_terms(d.A, d.M, negate=True), trunc=trunc)
+    vec = exp_act(vec, ns_terms(inf.A, inf.M, negate=True, raising=True),
+                  trunc=trunc)
+    return vec.truncate(*trunc)
+
+
+def test_sewing_axiom_on_one_tube_spheres():
+    # nu(Q1 oo Q2) = e^{-Gamma c} nu(Q1) nu(Q2): on the h = 0 Verma module
+    # T(Q1) T(Q2) v = r0 T(Q1 oo Q2) v, where r0 is the vacuum coefficient
+    # of T(Q1) T(Q2) v0 and log r0 = Gamma c.  Unlike the sewing laws, the
+    # two sides do not both go through sew, so the sign of psi_0 in sew's
+    # dilation is seen here.
+    rng = random.Random(22)
+    trunc = ({"g": 1}, 2)
+    mod = VermaModule(width=W)
+    vac = mod.vacuum_key()
+    v0 = mod.basis_vector(vac)
+    one = GE.one(W)
+
+    def even():
+        return rng.choice([sc(rng.choice([-2, -1, 1, 2])), z(3) * z(4),
+                           sc(1) + z(5) * z(6)])
+
+    def entries(value, keys):
+        return {k: value() for k in rng.sample(keys, rng.randrange(1, 3))}
+
+    def point(odds):
+        def odd():
+            return rng.randrange(1, 3) * z(rng.choice(odds))
+        asqrt = sc(rng.choice([-1, 1, 2])) + rng.randrange(-1, 2) * z(1) * z(2)
+        return ModuliPoint.one_tube(
+            InfCoordData(entries(even, [1, 2]), entries(odd, [1, 3])),
+            CoordData(asqrt, entries(even, [1, 2]), entries(odd, [1, 3])), W)
+
+    for _ in range(3):
+        q1, q2 = point([1, 2, 7]), point([3, 4, 8])
+        q1m, q2m = q1.mark("g"), q2.mark("g")
+        out = sew(q1m, 1, q2m, 2, trunc=trunc, finalize=False)
+        r0 = _tube_operator(q1m, _tube_operator(q2m, v0, trunc), trunc) \
+            .t[vac]
+        assert _tube_operator(out, v0, trunc).t[vac] == one
+        d1 = q1.coords[0]
+        gamma = solve_gamma(d1.asqrt, d1.A, d1.M, q2.inf.A, q2.inf.M, 2)
+        assert ge_log(r0, trunc).subs({"g": one}) == \
+            GE.evar("c", 1, W) * gamma
+        for key in enumerate_basis(4):
+            v = mod.basis_vector(key)
+            lhs = _tube_operator(q1m, _tube_operator(q2m, v, trunc), trunc)
+            rhs = _tube_operator(out, v, trunc)
+            assert set(lhs.t) == set(rhs.t), key
+            for k, val in rhs.t.items():
+                assert lhs.t[k] == r0.mul(val, trunc), (key, k)
 
 
 def random_coord(rng, maxidx=2):
