@@ -69,10 +69,9 @@ class ModuliPoint:
                     raise ValueError("puncture is not invertible")
         if len({(b.re, b.im) for b in bodies}) != len(bodies):
             raise ValueError("puncture bodies must be pairwise distinct")
-        if self.n == 0:
-            if self.inf.A.get(1) or self.inf.M.get(1):
-                raise ValueError("one-tube data requires vanishing first "
-                                 "infinity entries")
+        if self.n == 0 and (self.inf.A.get(1) or self.inf.M.get(1)):
+            raise ValueError("zero-tube data requires vanishing first "
+                             "infinity entries")
 
     @classmethod
     def unit(cls, width=0):
@@ -367,8 +366,8 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         .then(SuperMap.shift_inverse(zi, thi))
 
     def f1_eval(pt):
-        z, th = (zero, zero) if pt is None else pt
-        return fbar1.eval_at(z - zi - th * thi, th - thi, trunc=trunc)
+        return fbar1.eval_at(*_shift_pt((zi, thi), pt or (zero, zero)),
+                             trunc=trunc)
 
     # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
     p0 = psi.get(0, zero)
@@ -425,12 +424,9 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
              + side(Q1, range(i + 1, m + 1), f1_eval, f1_inv))
     # image of each tube's puncture in the glued sphere (None: the origin)
     images = [f_eval(center) for center, _c, f_eval, _f in tubes]
-    if tubes:
-        # recenter so that the last tube sits at 0
-        p = images[-1]
-    else:
-        p = _solve_center_normalization(Q1.inf, f1_inv, wcap, idxcap, trunc,
-                                        w)
+    # recenter so that the last tube sits at 0
+    p = images[-1] if tubes else \
+        _solve_center_normalization(Q1.inf, f1_inv, wcap, idxcap, trunc, w)
     new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
                  for q in images[:-1]]
     # undoing the shift to the new puncture and then the recentering undoes
@@ -451,86 +447,65 @@ def _shift_pt(p, q):
 
 
 def _solve_center_normalization(infdata, f1_inv, wcap, idxcap, trunc, w):
-    """The unique recentering (a', m') killing the first infinity entries
-    for a sewing that lands in the one-tube-less stratum."""
-    ap = GE.zero(w)
-    mp = GE.zero(w)
+    """The recentring (a', m') that kills the first infinity entries of a
+    zero-tube sewing: the (A_1, M_{1/2}) read off once, without recentring.
+
+    Those entries are the translation part of the infinity datum: modulo
+    span{L_{-j}, j >= 2; G_{-r}, r >= 3/2}, an ideal of the negative-index
+    algebra, the generators reduce to {L_{-1}, G_{-1/2}}.  So recentring by
+    p changes them by -p plus a multiple of M_{1/2} p_1, which vanishes at
+    p = (A_1, M_{1/2}) since M_{1/2} M_{1/2} = 0."""
     hd0 = _inf_map(infdata, idxcap, trunc, w)
-    for _ in range(trunc[1] + 2):
-        chain = _inf_chain((ap, mp), f1_inv, hd0, wcap, trunc, w)
-        got = e_inf_inv_flipped(chain, 1, trunc, check=False)
-        a1 = got.A.get(1, GE.zero(w))
-        m1 = got.M.get(1, GE.zero(w))
-        if not a1 and not m1:
-            return ap, mp
-        ap = ap + a1
-        mp = mp + m1
-    raise SewError("center normalization did not converge")
+    chain = _inf_chain(None, f1_inv, hd0, wcap, trunc, w)
+    got = e_inf_inv_flipped(chain, 1, trunc, check=False)
+    return got.A.get(1, GE.zero(w)), got.M.get(1, GE.zero(w))
 
 
 # -- symmetric-group action ---------------------------------------------------
 
 def sn_act(sigma, Q, cap, idxcap=None, trunc=None, finalize=True):
-    """Left action of a permutation (tuple sigma with sigma[k] = image of
-    k+1) on an n-tube point: relabeling of punctures 1..n-1 extended by the
-    recentering transposition that swaps the last two punctures."""
+    """Left action of a permutation (sigma[k] = image of k+1) on an n-tube
+    point: the tube at position k moves to position sigma(k), with its
+    coordinate datum and puncture.  If the tube landing last is not the old
+    last one, one recentring by s_p at its puncture p follows (one suffices,
+    as s_(s_p(q)) o s_p = s_q): every other puncture q becomes s_p(q), the
+    old origin -p, and the infinity datum is read off through s_p^{-1}.
+
+    trunc=None tags the data by "g" and cuts at total degree cap, and the
+    tag is substituted away unless finalize=False; an explicit trunc
+    continues an existing grading.  The infinity datum is exact through
+    index idxcap, by default derived from the input's largest index.
+    """
     n = Q.n
     if len(sigma) != n:
         raise ValueError("permutation size must match the puncture count")
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("not a permutation")
-    marked = False
-    if trunc is None:
+    marked = trunc is None
+    if marked:
         Q = Q.mark("g")
         trunc = ({"g": 1}, cap)
-        marked = True
-    # decompose sigma into adjacent transpositions: sorting the image
-    # sequence by adjacent swaps writes sigma = t_p ... t_1 with t_1 the
-    # first recorded swap, so the action applies them in recorded order
-    ops = []
-    work = list(sigma)
-    while True:
-        swapped = False
-        for k in range(n - 1):
-            if work[k] > work[k + 1]:
-                work[k], work[k + 1] = work[k + 1], work[k]
-                ops.append(k + 1)  # transposition (k+1, k+2)
-                swapped = True
-        if not swapped:
-            break
-    out = Q
-    for k in ops:
-        out = _transpose_adjacent(out, k, cap, idxcap, trunc)
+    w = Q.width
+    punct = Q.punctures + [None]  # by old position, None at the origin
+    inf = Q.inf
+    if n and sigma[-1] != n:
+        last = sigma.index(n)
+        p = punct[last]
+        punct = [q if k == last else (-p[0], -p[1]) if q is None
+                 else _shift_pt(p, q) for k, q in enumerate(punct)]
+        if idxcap is None:
+            idxcap = (cap + 1) * (max_index((inf.A, inf.M)) or 1) + 1
+        chain = _inf_chain(p, None, _inf_map(inf, idxcap, trunc, w),
+                           idxcap + 3, trunc, w)
+        inf = e_inf_inv_flipped(chain, idxcap, trunc)
+    # old position of the tube at each new position
+    order = sorted(range(n), key=lambda k: sigma[k])
+    out = ModuliPoint(n, [punct[k] for k in order[:-1]], inf,
+                      [Q.coords[k] for k in order], w, validate=False)
     if finalize and marked:
-        out = out.subs({"g": GE.one(out.width)})
+        out = out.subs({"g": GE.one(w)})
         out.validate()
     return out
-
-
-def _transpose_adjacent(Q, k, cap, idxcap, trunc):
-    n = Q.n
-    w = Q.width
-    if k < n - 1:
-        punct = list(Q.punctures)
-        punct[k - 1], punct[k] = punct[k], punct[k - 1]
-        coords = list(Q.coords)
-        coords[k - 1], coords[k] = coords[k], coords[k - 1]
-        return ModuliPoint(n, punct, Q.inf, coords, w, validate=False)
-    # the last transposition (n-1, n): recenter at the old puncture n-1
-    zc, tc = Q.punctures[n - 2]
-    punct = []
-    for j in range(0, n - 2):
-        punct.append(_shift_pt((zc, tc), Q.punctures[j]))
-    punct.append((-zc, -tc))
-    coords = list(Q.coords)
-    coords[n - 2], coords[n - 1] = coords[n - 1], coords[n - 2]
-    if idxcap is None:
-        jall = max_index((Q.inf.A, Q.inf.M)) or 1
-        idxcap = cap * jall + jall + 1
-    hd = _inf_map(Q.inf, idxcap, trunc, w)
-    chain = _inf_chain((zc, tc), None, hd, idxcap + 3, trunc, w)
-    new_inf = e_inf_inv_flipped(chain, idxcap, trunc)
-    return ModuliPoint(n, punct, new_inf, coords, w, validate=False)
 
 
 # -- tangent functional -------------------------------------------------------
