@@ -124,15 +124,20 @@ class ModuliPoint:
 def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
     """The canonical factorization coefficients of the sewing uniformizer.
 
-    Returns {doubled index j2: coefficient}; the table satisfies the
-    exponential-switching identity: moving the middle dilation through the
-    raising exponential regroups the product into raising * lowering *
-    dilation factors with these coefficients, uniquely once the leading
-    linear terms are pinned.
+    Returns (table, fbar1, f2_inv).  The table {doubled index j2: coefficient}
+    satisfies the exponential-switching identity: moving the middle dilation
+    through the raising exponential regroups the product into raising *
+    lowering * dilation factors with these coefficients, uniquely once the
+    leading linear terms are pinned.  ``sew`` reuses the closing residual's
+    maps fbar1 = exp(psi_-) and f2_inv = exp(psi_+) then the dilation.
 
-    The entries come marked by the caller's bookkeeping variables, and
-    ``trunc`` cuts at total degree degree_cap in them; the coefficients keep
-    the marks.
+    The solve starts from the first-order table, cut by ``trunc``: psi_{2j} =
+    -A_j, psi_{r2} = -M_{r2}, psi_{-2j} = -asqrt^{-2j} B_j and psi_{-r2} =
+    -asqrt^{-r2} N_{r2} (a^{-2L_0} conjugation).  With A, M or B, N empty the
+    left side is one exponential and a dilation, so this start is exact and the
+    first residual vanishes; else it is right through degree 1.  The entries
+    come marked by the caller's bookkeeping variables, and ``trunc`` cuts at
+    total degree degree_cap in them; the coefficients keep the marks.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
@@ -146,23 +151,21 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
                      trunc=trunc)
     lhs = h_a.then(SuperMap.dilation(asqrt)).then(h_b, trunc=trunc)
 
-    psi = {}
+    psi = {j2: c.truncate(*trunc) for j2, c in ns_terms(A, M, negate=True)
+           + [(-k, ai ** k * c) for k, c in ns_terms(B, N, negate=True)]}
 
-    def residual():
+    # at most degree_cap updates, each fixing one more degree, then a check
+    for d in range(degree_cap + 1):
         hm = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0 and c],
                         w, trunc=trunc)
-        hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
-                        w, trunc=trunc)
-        # the L_0 factor and a^{-2L_0} make one dilation, as in sew's f2_inv
+        # the L_0 factor and a^{-2L_0} make one dilation
         h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, GE.zero(w)), trunc))
-        r = hm.then(hp, trunc=trunc).then(h0, trunc=trunc)
-        return SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
-
-    # degree_cap updates, each fixing one more degree, then a final check
-    for d in range(degree_cap + 1):
-        delta = residual()
+        hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
+                        w, trunc=trunc).then(h0, trunc=trunc)
+        r = hm.then(hp, trunc=trunc)
+        delta = SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
         if not delta.ev.el and not delta.od.el:
-            return {j2: c for j2, c in psi.items() if c}
+            return {j2: c for j2, c in psi.items() if c}, hm, hp
         if d == degree_cap:
             raise SewError("sewing factorization did not close: %r" % delta)
         for j in range(-jmax, jmax + 1):
@@ -353,17 +356,14 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         idxcap = degree_cap * jall + jall + 1
     wcap = idxcap + 3
 
-    psi = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M, degree_cap, trunc,
-                    w)
-    ai = d_i.asqrt.inverse(trunc)
+    psi, fbar1, f2_inv = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M,
+                                   degree_cap, trunc, w)
     zero = GE.zero(w)
 
     # F1 = fbar1 o s_(z_i, theta_i) on Q1's side, inverted by negating terms
-    psiminus = [(j2, c) for j2, c in psi.items() if j2 < 0]
-    fbar1 = exp_ns_map(psiminus, w, trunc=trunc)
     zi, thi = Q1.puncture(i)
-    f1_inv = exp_ns_map([(j2, -c) for j2, c in psiminus], w, trunc=trunc) \
-        .then(SuperMap.shift_inverse(zi, thi))
+    f1_inv = exp_ns_map([(j2, -c) for j2, c in psi.items() if j2 < 0], w,
+                        trunc=trunc).then(SuperMap.shift_inverse(zi, thi))
 
     def f1_eval(pt):
         return fbar1.eval_at(*_shift_pt((zi, thi), pt or (zero, zero)),
@@ -371,18 +371,18 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
 
     # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
     p0 = psi.get(0, zero)
-    psiplus = [(j2, c) for j2, c in psi.items() if j2 > 0]
-    tilde_plus = exp_ns_map([(j2, -c) for j2, c in psiplus], w, trunc=trunc)
-    f2_inv = exp_ns_map(psiplus, w, trunc=trunc).then(
-        SuperMap.dilation(d_i.asqrt * ge_exp(-p0, trunc)), trunc=trunc)
+    tilde_plus = exp_ns_map([(j2, -c) for j2, c in psi.items() if j2 > 0], w,
+                            trunc=trunc)
+    if Q2.punctures:  # f2_eval reads these only off the origin
+        ai = d_i.asqrt.inverse(trunc)
+        e2p0, ep0, a2i = ge_exp(2 * p0, trunc), ge_exp(p0, trunc), ai * ai
 
     def f2_eval(pt):
         # F2 fixes the origin, where Q2's last tube is pinned
         if pt is None:
             return None
-        z1 = ge_exp(2 * p0, trunc) * pt[0]
-        t1 = ge_exp(p0, trunc) * pt[1]
-        return tilde_plus.eval_at(ai * ai * z1, ai * t1, trunc=trunc)
+        return tilde_plus.eval_at(a2i * (e2p0 * pt[0]), ai * (ep0 * pt[1]),
+                                  trunc=trunc)
 
     def coord_at(coord, center, f_inv, p):
         """Data of coord-composite shifted to vanish at its new puncture."""
@@ -403,7 +403,6 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         raise SewError("coordinate window did not stabilize")
 
     def inf_at(p):
-        hd = _inf_map(Q1.inf, idxcap, trunc, w)
         wc = wcap
         for _attempt in range(5):
             chain = _inf_chain(p, f1_inv, hd, wc, trunc, w)
@@ -425,8 +424,9 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     # image of each tube's puncture in the glued sphere (None: the origin)
     images = [f_eval(center) for center, _c, f_eval, _f in tubes]
     # recenter so that the last tube sits at 0
+    hd = _inf_map(Q1.inf, idxcap, trunc, w)
     p = images[-1] if tubes else \
-        _solve_center_normalization(Q1.inf, f1_inv, wcap, idxcap, trunc, w)
+        _solve_center_normalization(hd, f1_inv, wcap, trunc, w)
     new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
                  for q in images[:-1]]
     # undoing the shift to the new puncture and then the recentering undoes
@@ -446,7 +446,7 @@ def _shift_pt(p, q):
     return (q[0] - p[0] - q[1] * p[1], q[1] - p[1])
 
 
-def _solve_center_normalization(infdata, f1_inv, wcap, idxcap, trunc, w):
+def _solve_center_normalization(hd, f1_inv, wcap, trunc, w):
     """The recentring (a', m') that kills the first infinity entries of a
     zero-tube sewing: the (A_1, M_{1/2}) read off once, without recentring.
 
@@ -455,8 +455,7 @@ def _solve_center_normalization(infdata, f1_inv, wcap, idxcap, trunc, w):
     algebra, the generators reduce to {L_{-1}, G_{-1/2}}.  So recentring by
     p changes them by -p plus a multiple of M_{1/2} p_1, which vanishes at
     p = (A_1, M_{1/2}) since M_{1/2} M_{1/2} = 0."""
-    hd0 = _inf_map(infdata, idxcap, trunc, w)
-    chain = _inf_chain(None, f1_inv, hd0, wcap, trunc, w)
+    chain = _inf_chain(None, f1_inv, hd, wcap, trunc, w)
     got = e_inf_inv_flipped(chain, 1, trunc, check=False)
     return got.A.get(1, GE.zero(w)), got.M.get(1, GE.zero(w))
 

@@ -7,7 +7,7 @@ from supersew.scalars import GQ
 from supersew import sewing
 from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
 from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
-                              inf_exp_map, ns_terms)
+                              e_tilde, inf_exp_map, max_index, ns_terms)
 from supersew.nsmod import VermaModule, enumerate_basis, exp_act
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
                              solve_psi, tangent_functional,
@@ -30,14 +30,15 @@ AH = GE.evar("ah", 1, W)
 
 def test_psi_zero_data_is_zero():
     assert solve_psi(GE.one(W), {}, {}, {}, {}, 3,
-                     ({"u": 1, "v": 1}, 3)) == {}
+                     ({"u": 1, "v": 1}, 3))[0] == {}
 
 
 def test_psi_first_order_leading_terms():
     u = GE.evar("u", 1, W)
     v = GE.evar("v", 1, W)
-    psi = solve_psi(AH, {2: u * sc(1)}, {3: u * z(1)}, {1: v * sc(1)},
-                    {1: v * z(2)}, 2, ({"u": 1, "v": 1}, 2))
+    psi, _fbar1, _f2_inv = solve_psi(AH, {2: u * sc(1)}, {3: u * z(1)},
+                                     {1: v * sc(1)}, {1: v * z(2)}, 2,
+                                     ({"u": 1, "v": 1}, 2))
     # positive side: psi_j = -A_j, psi_{j-1/2} = -M_{j-1/2} at pure u-degree
     assert psi[4].subs({"v": GE.zero(W)}) == -(u * sc(1))
     assert psi[3].subs({"v": GE.zero(W)}) == -(u * z(1))
@@ -48,6 +49,150 @@ def test_psi_first_order_leading_terms():
     p0 = psi.get(0, GE.zero(W))
     assert p0.subs({"u": GE.zero(W)}) == GE.zero(W)
     assert p0.subs({"v": GE.zero(W)}) == GE.zero(W)
+
+
+def _psi_from_zero(asqrt, A, M, B, N, degree_cap, trunc):
+    """solve_psi's table by the loop it was once solved with, started from
+    psi = 0, kept as the reference; also returns its number of passes."""
+    w = W
+    jmax = degree_cap * (max_index((A, M), (B, N)) or 1)
+    ai = asqrt.inverse(trunc)
+    a2i = ai * ai
+    lhs = e_tilde(A, M, trunc=trunc, width=w).then(
+        SuperMap.dilation(asqrt)).then(
+        exp_ns_map(ns_terms(B, N, negate=True, raising=True), w,
+                   trunc=trunc), trunc=trunc)
+    psi = {}
+    for d in range(degree_cap + 1):
+        hm = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0 and c],
+                        w, trunc=trunc)
+        hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
+                        w, trunc=trunc)
+        h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, GE.zero(w)), trunc))
+        r = hm.then(hp, trunc=trunc).then(h0, trunc=trunc)
+        delta = SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
+        if not delta.ev.el and not delta.od.el:
+            return {j2: c for j2, c in psi.items() if c}, d + 1
+        assert d < degree_cap, "reference factorization did not close"
+        for j in range(-jmax, jmax + 1):
+            ce = delta.ev.f_coeff(j + 1)
+            if ce:
+                upd = -(a2i * ce)
+                if j == 0:
+                    upd = upd * GQ(Fraction(1, 2))
+                psi[2 * j] = (psi.get(2 * j, GE.zero(w)) + upd) \
+                    .truncate(*trunc)
+            co = delta.od.f_coeff(j)
+            if co:
+                psi[2 * j - 1] = (psi.get(2 * j - 1, GE.zero(w)) - ai * co) \
+                    .truncate(*trunc)
+
+
+# bodyful, nilpotent-souled and symbolic asqrt, each with its powers
+# asqrt^{-k} written out: (2 + n)^{-k} = 2^{-k} (1 - k n / 2) as n n = 0
+PSI_ASQRTS = [
+    (sc(3), lambda k: sc(Fraction(1, 3 ** k))),
+    (sc(2) + z(7) * z(8),
+     lambda k: sc(Fraction(1, 2 ** k)) * (sc(1) - sc(Fraction(k, 2)) * z(7)
+                                          * z(8))),
+    (AH, lambda k: GE.evar("ah", -k, W)),
+]
+
+
+def _random_psi_data(rng, side):
+    """Marked (A, M) under "u" or (B, N) under "v": even and odd entries
+    at indices 1-3, none empty on both parities."""
+    mark = GE.evar(side, 1, W)
+
+    def even():
+        return rng.choice([sc(rng.choice([-2, -1, 1, 2])), z(3) * z(4),
+                           sc(1) + z(5) * z(6)])
+    A = {j: mark * even() for j in rng.sample([1, 2, 3], rng.randrange(1, 3))}
+    M = {r2: mark * rng.randrange(1, 3) * z(rng.randrange(1, 7))
+         for r2 in rng.sample([1, 3, 5], rng.randrange(0, 2))}
+    return A, M
+
+
+def _psi_cases(seed, count, two_sided):
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        asqrt, powinv = PSI_ASQRTS[k % 3]
+        A, M = _random_psi_data(rng, "u")
+        B, N = _random_psi_data(rng, "v")
+        if not two_sided:
+            A, M, B, N = (A, M, {}, {}) if k % 2 else ({}, {}, B, N)
+        cases.append((asqrt, powinv, A, M, B, N))
+    return cases
+
+
+def _solve_psi_counting_passes(monkeypatch, *args):
+    """solve_psi's output and its number of residual passes: one exp_ns_map
+    call builds the left side, then two build each pass's maps."""
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return exp_ns_map(*a, **kw)
+    monkeypatch.setattr(sewing, "exp_ns_map", counted)
+    out = solve_psi(*args)
+    return out, (len(calls) - 1) // 2
+
+
+def test_psi_matches_zero_start_reference(monkeypatch):
+    # the first-order start changes where the loop begins, not the table:
+    # the factorization is unique modulo the cap; and the returned maps are
+    # the ones sew once rebuilt from the table
+    cases = [(c, cap) for cap, c in zip([2, 3, 4, 5] * 3,
+                                        _psi_cases(11, 12, False))]
+    cases += [(c, cap) for cap, c in zip([2, 3, 2, 3, 4, 5],
+                                         _psi_cases(12, 6, True))]
+    for (asqrt, _p, A, M, B, N), cap in cases:
+        trunc = ({"u": 1, "v": 1}, cap)
+        ref, ref_passes = _psi_from_zero(asqrt, A, M, B, N, cap, trunc)
+        (psi, fbar1, f2_inv), passes = _solve_psi_counting_passes(
+            monkeypatch, asqrt, A, M, B, N, cap, trunc, W)
+        assert psi == ref, (cap, A, M, B, N)
+        # one pass fewer than from zero
+        assert passes <= ref_passes - 1, (cap, A, M, B, N)
+        p0 = psi.get(0, GE.zero(W))
+        assert fbar1 == exp_ns_map(
+            [(j2, c) for j2, c in psi.items() if j2 < 0], W, trunc=trunc)
+        assert f2_inv == exp_ns_map(
+            [(j2, c) for j2, c in psi.items() if j2 > 0], W,
+            trunc=trunc).then(SuperMap.dilation(asqrt * ge_exp(-p0, trunc)),
+                              trunc=trunc)
+
+
+def test_psi_one_sided_is_the_first_order_table_in_one_pass(monkeypatch):
+    # with one side empty the first-order start is the exact table, so the
+    # first residual vanishes; the loop would repair a wrong start (say
+    # asqrt^{+2j}) in more passes, so the pass count guards the start
+    u = GE.evar("u", 1, W)
+    v = GE.evar("v", 1, W)
+    cases = [(c, cap) for cap, c in zip([1, 2, 3, 4, 5] * 2,
+                                        _psi_cases(13, 10, False))]
+    # entries past the cap: the start is cut by trunc
+    cases.append(((AH, PSI_ASQRTS[2][1], {2: u + u * u}, {3: u * u * z(1)},
+                   {}, {}), 1))
+    cases.append(((sc(3), PSI_ASQRTS[0][1], {}, {}, {1: v + v * v * v},
+                   {3: v * z(2) + v * v * z(3)}), 2))
+    for (asqrt, powinv, A, M, B, N), cap in cases:
+        trunc = ({"u": 1, "v": 1}, cap)
+        want = {}
+        for j, c in A.items():
+            want[2 * j] = -c
+        for r2, c in M.items():
+            want[r2] = -c
+        for j, c in B.items():
+            want[-2 * j] = -(powinv(2 * j) * c)
+        for r2, c in N.items():
+            want[-r2] = -(powinv(r2) * c)
+        want = {j2: c.truncate(*trunc) for j2, c in want.items()}
+        (psi, _f, _g), passes = _solve_psi_counting_passes(
+            monkeypatch, asqrt, A, M, B, N, cap, trunc, W)
+        assert passes == 1, (cap, A, M, B, N)
+        assert psi == {j2: c for j2, c in want.items() if c}
 
 
 def test_gamma_leading_coefficients():
@@ -79,7 +224,7 @@ def _gamma_by_ratio(asqrt, A, M, B, N, cap):
     d = CoordData(asqrt, A, M).scale_marker("u")
     inf = InfCoordData(B, N).scale_marker("v")
     trunc = ({"u": 1, "v": 1}, cap)
-    psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, cap, trunc, w)
+    psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, cap, trunc, w)[0]
     ai = asqrt.inverse(trunc)
     mod = VermaModule(width=w)
     vac = mod.vacuum_key()
@@ -599,12 +744,11 @@ def test_zero_tube_result_is_recentered_and_associative():
     assert lhs == sew(qa, 1, sew(qb, 1, q0, **kw), **kw)
 
 
-def _center_by_fixed_point(infdata, f1_inv, wcap, idxcap, trunc, w):
+def _center_by_fixed_point(hd0, f1_inv, wcap, trunc, w):
     """The recentring of a zero-tube sewing by the fixed-point loop it was
     once solved with, kept as the reference."""
     ap = GE.zero(w)
     mp = GE.zero(w)
-    hd0 = sewing._inf_map(infdata, idxcap, trunc, w)
     for _ in range(trunc[1] + 2):
         chain = sewing._inf_chain((ap, mp), f1_inv, hd0, wcap, trunc, w)
         got = sewing.e_inf_inv_flipped(chain, 1, trunc, check=False)
