@@ -279,9 +279,6 @@ class GrassmannElement:
     def __sub__(self, other):
         return self + (-self.lift(other))
 
-    def __rsub__(self, other):
-        return self.lift(other) + (-self)
-
     def mul(self, other, cut=None):
         """The product, cut when ``cut`` is a (weights, cap) pair or a list
         of them: ``a.mul(b, cut) == (a * b).truncate(*cut)`` for one pair,
@@ -338,11 +335,6 @@ class GrassmannElement:
                 base = base * base
         return out
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GQ)):
-            return self * GQ.lift(other).inv()
-        raise TypeError("division only by scalars; use .inverse() for elements")
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GQ)):
             other = self.lift(other)
@@ -364,17 +356,6 @@ class GrassmannElement:
         t = {k: v for k, v in self.t.items() if k != EMPTY_KEY}
         return GrassmannElement(self.width, t)
 
-    def parity(self):
-        """'even', 'odd', or 'inhomogeneous'."""
-        seen = set()
-        for (_, odds) in self.t:
-            seen.add(len(odds) & 1)
-            if len(seen) > 1:
-                return "inhomogeneous"
-        if not seen:
-            return "even"
-        return "odd" if seen.pop() else "even"
-
     def is_even(self):
         return all(len(k[1]) % 2 == 0 for k in self.t)
 
@@ -389,12 +370,6 @@ class GrassmannElement:
         """Drop monomials of weighted degree > cap."""
         t = {k: v for k, v in self.t.items() if key_weight(k, weights) <= cap}
         return GrassmannElement(self.width, t)
-
-    def wdegree(self, weights):
-        """Max weighted degree over stored monomials (None when zero)."""
-        if not self.t:
-            return None
-        return max(key_weight(k, weights) for k in self.t)
 
     def wdegree_min(self, weights):
         if not self.t:

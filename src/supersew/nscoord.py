@@ -11,8 +11,8 @@ supported family of odd elements M_{j-1/2} (stored under the doubled index
 
 and the inverses recover the data degree by degree from the pure-x
 coefficients of the two components.  The infinity-side analogue uses the
-negative-index generators; the full local coordinate at infinity is the
-composite (1/x, i phi/x) after the negative-index exponential map.
+negative-index generators; sewing reads infinity data through the flip
+x -> 1/x (``sewing._inf_chain``).
 """
 
 from fractions import Fraction
@@ -74,9 +74,6 @@ class CoordData:
     @classmethod
     def identity(cls, width=0):
         return cls(GE.one(width))
-
-    def max_index(self):
-        return max_index((self.A, self.M))
 
     def scale_marker(self, name):
         """Multiply every A and M entry by an even bookkeeping variable."""
@@ -194,13 +191,6 @@ def e_hat_inv(H, order, trunc=None, check=True):
     return CoordData(asqrt, A, M)
 
 
-def e_tilde_inv(H, order, trunc=None, check=True):
-    d = e_hat_inv(H, order, trunc, check)
-    if d.asqrt != GE.one(d.asqrt.width):
-        raise ValueError("leading odd coefficient is not 1")
-    return d.A, d.M
-
-
 def inf_exp_map(A0, M0, trunc, width=0, xfloor=None):
     """exp(+sum(A0_j L_{-j} + M0_{j-1/2} G_{-j+1/2})) applied to (x, phi).
 
@@ -210,14 +200,6 @@ def inf_exp_map(A0, M0, trunc, width=0, xfloor=None):
     return exp_ns_map(ns_terms(A0, M0, raising=True),
                       max(width, data_width(A0, M0)), trunc=trunc,
                       xfloor=xfloor)
-
-
-def assemble_inf(inf, trunc, wcap, width=0):
-    """Local coordinate at infinity: (1/x, i phi/x) after the negative-index
-    exponential map.  Known exactly through x-degree <= wcap."""
-    hd = inf_exp_map(inf.A, inf.M, trunc, width)
-    inv = SuperMap.inversion(hd.width)
-    return hd.then(inv, wcap=wcap, trunc=trunc)
 
 
 def e_inf_inv(H, idxcap, trunc, check=True):

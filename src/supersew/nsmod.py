@@ -113,9 +113,6 @@ class VermaModule(_ModuleBase):
         self.central = GE.evar("c", 1, width)
         self._memo = {}
 
-    def vacuum_key(self):
-        return ((), ())
-
     def weight2(self, key):
         return level_of(key) + 2 * self.h
 
@@ -175,9 +172,6 @@ class FockModule(_ModuleBase):
         self.width = width
         self.central = GE.scalar(Fraction(3, 2), width)
         self._memo = {}
-
-    def vacuum_key(self):
-        return ((), ())
 
     def weight2(self, key):
         return level_of(key)

@@ -66,19 +66,6 @@ class SuperSeries:
     def odd_variable(cls, width=0):
         return cls(GE.ovar(PHI, width))
 
-    @classmethod
-    def from_tables(cls, f, g, width=0, nmax=None):
-        """Build f(x) + phi*g(x) from {exponent: coefficient} tables."""
-        el = GE.zero(width)
-        for n, c in f.items():
-            cel = c if isinstance(c, GE) else GE.scalar(c, width)
-            el = el + GE.evar(XVAR, n, width) * cel
-        ph = GE.ovar(PHI, width)
-        for n, c in g.items():
-            cel = c if isinstance(c, GE) else GE.scalar(c, width)
-            el = el + ph * GE.evar(XVAR, n, width) * cel
-        return cls(el, nmax)
-
     def clone(self, el=None, nmax="keep"):
         return SuperSeries(el if el is not None else self.el,
                            self.nmax if nmax == "keep" else nmax)
@@ -132,34 +119,26 @@ class SuperSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, SuperSeries):
-            return SuperSeries(self.el + other.el,
-                               _min_none(self.nmax, other.nmax))
-        return SuperSeries(self.el + other, self.nmax)
-
-    __radd__ = __add__
+        return SuperSeries(self.el + other.el, _min_none(self.nmax, other.nmax))
 
     def __neg__(self):
         return self.clone(el=-self.el)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SuperSeries)
-                       else -(self.el.lift(other)))
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, SuperSeries):
-            nm = None
-            if self.nmax is not None:
-                o_min = other.support_min()
-                nm = None if o_min is None else self.nmax + o_min
-            nm2 = None
-            if other.nmax is not None:
-                s_min = self.support_min()
-                nm2 = None if s_min is None else other.nmax + s_min
-            nm = _min_none(nm, nm2)
-            return SuperSeries(self.el.mul(other.el, None if nm is None
-                                           else ({XVAR: 1}, nm)), nm)
-        return self.clone(el=self.el * other)
+        nm = None
+        if self.nmax is not None:
+            o_min = other.support_min()
+            nm = None if o_min is None else self.nmax + o_min
+        nm2 = None
+        if other.nmax is not None:
+            s_min = self.support_min()
+            nm2 = None if s_min is None else other.nmax + s_min
+        nm = _min_none(nm, nm2)
+        return SuperSeries(self.el.mul(other.el, None if nm is None
+                                       else ({XVAR: 1}, nm)), nm)
 
     def __rmul__(self, other):
         # scalar * series; scalar is even/central here
@@ -193,10 +172,6 @@ class SuperSeries:
         return SuperSeries(GE(self.el.width, t))
 
     # -- calculus ----------------------------------------------------------
-
-    def dx(self):
-        nm = None if self.nmax is None else self.nmax - 1
-        return SuperSeries(self.el.diff_even(XVAR), nm)
 
     def D(self):
         """The odd superderivation d/dphi + phi d/dx."""
@@ -373,14 +348,6 @@ class SuperMap:
         x = GE.evar(XVAR, 1, w)
         ph = GE.ovar(PHI, w)
         return cls(SuperSeries(asq * asq * x), SuperSeries(asq * ph))
-
-    @classmethod
-    def inversion(cls, width=0):
-        """I(x, phi) = (1/x, i phi / x)."""
-        xinv = GE.evar(XVAR, -1, width)
-        ph = GE.ovar(PHI, width)
-        return cls(SuperSeries(xinv),
-                   SuperSeries(GE.scalar(GQ(0, 1), width) * ph * xinv))
 
     @classmethod
     def shift(cls, z, theta):
@@ -627,8 +594,16 @@ def _cuts_sound(h, weights, substituted):
 
 
 def _compose_window(h, ev, od, wcap):
-    """Sound exactness bound for h o (ev, od)."""
+    """Sound exactness bound for h o (ev, od).  A term x^e phi^eps of h with
+    e >= 1 and e + eps >= 2 raises WindowError when the map has a window and
+    a negative power of x: its product reads a factor above that window."""
     m = ev.support_min()
+    if (ev.nmax is not None or od.nmax is not None) and \
+            min(m or 0, od.support_min() or 0) < 0 and \
+            any(h.xexp(k) >= 1 and h.xexp(k) + (PHI in k[1]) >= 2
+                for k in h.el.t):
+        raise WindowError("windowed map with a negative power substituted "
+                          "into a product")
     if m is None:
         m = 1
     limits = []

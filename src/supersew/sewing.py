@@ -24,8 +24,7 @@ from .scalars import GQ
 from .grassmann import GrassmannElement as GE, NotInvertible, ge_exp, ge_log
 from .nscoord import (CoordData, InfCoordData, data_width, e_hat, e_hat_inv,
                       e_inf_inv, e_tilde, inf_exp_map, max_index, ns_terms)
-from .series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
-                     exp_ns_map)
+from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_map
 
 
 class SewError(ValueError):
@@ -193,7 +192,7 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
     are marked by "u" (A, M) and "v" (B, N) and cut at total degree
     degree_cap.
     """
-    from .nsmod import VermaModule, exp_act
+    from .nsmod import VAC, VermaModule, exp_act
 
     if degree_cap < 2:
         raise ValueError("degree cap must be at least 2 for the central term")
@@ -208,13 +207,12 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
     # raising ones in psi- only add levels.  So Gamma needs the left side
     # alone.
     mod = VermaModule(width=w)
-    vac = mod.vacuum_key()
-    vec = exp_act(mod.basis_vector(vac),
+    vec = exp_act(mod.basis_vector(VAC),
                   ns_terms(inf.A, inf.M, negate=True, raising=True),
                   trunc=trunc)
     vec = vec.apply_dilation(asqrt, -2, asqrt.inverse(trunc))
     vec = exp_act(vec, ns_terms(d.A, d.M, negate=True), trunc=trunc)
-    gc = ge_log(vec.t.get(vac, GE.zero(w)), trunc)
+    gc = ge_log(vec.t.get(VAC, GE.zero(w)), trunc)
     for (evens, _odds) in gc.t:
         if dict(evens).get("c", 0) != 1:
             raise SewError("central-charge series is not c-linear: %r" % gc)
@@ -354,6 +352,11 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                      + [(Q1.inf.A, Q1.inf.M), (Q2.inf.A, Q2.inf.M)]) or 1
     if idxcap is None:
         idxcap = degree_cap * jall + jall + 1
+    # Each read-off builds its chain once; a window too narrow raises
+    # WindowError.  The chain s_p^{-1}, F^{-1}, s_center, e_hat(coord) loses
+    # a degree at the centre shift's constant term and one in e_hat's odd
+    # part: slack >= 1 at order idxcap.  The infinity chain loses 1 - l at
+    # hd, l <= 0 its lowest power of x: slack >= 0 on max(wcap, idxcap - l).
     wcap = idxcap + 3
 
     psi, fbar1, f2_inv = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M,
@@ -386,31 +389,19 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
 
     def coord_at(coord, center, f_inv, p):
         """Data of coord-composite shifted to vanish at its new puncture."""
-        hmap = e_hat(coord, trunc=trunc)
-        wc = wcap
-        for _attempt in range(5):
-            chain = SuperMap.identity(w) if p is None else \
-                SuperMap.shift_inverse(p[0], p[1])
-            chain = chain.then(f_inv, wcap=wc, trunc=trunc)
-            if center is not None:
-                chain = chain.then(SuperMap.shift(center[0], center[1]),
-                                   wcap=wc, trunc=trunc)
-            chain = chain.then(hmap, wcap=wc, trunc=trunc)
-            try:
-                return e_hat_inv(chain, order=idxcap, trunc=trunc)
-            except WindowError:
-                wc = 2 * wc + 8
-        raise SewError("coordinate window did not stabilize")
+        chain = SuperMap.identity(w) if p is None else \
+            SuperMap.shift_inverse(p[0], p[1])
+        chain = chain.then(f_inv, wcap=wcap, trunc=trunc)
+        if center is not None:
+            chain = chain.then(SuperMap.shift(center[0], center[1]),
+                               wcap=wcap, trunc=trunc)
+        chain = chain.then(e_hat(coord, trunc=trunc), wcap=wcap, trunc=trunc)
+        return e_hat_inv(chain, order=idxcap, trunc=trunc)
 
     def inf_at(p):
-        wc = wcap
-        for _attempt in range(5):
-            chain = _inf_chain(p, f1_inv, hd, wc, trunc, w)
-            try:
-                return e_inf_inv_flipped(chain, idxcap, trunc)
-            except WindowError:
-                wc = 2 * wc + 8
-        raise SewError("infinity window did not stabilize")
+        low = min(hd.ev.support_min(), hd.od.support_min())
+        chain = _inf_chain(p, f1_inv, hd, max(wcap, idxcap - low), trunc, w)
+        return e_inf_inv_flipped(chain, idxcap, trunc)
 
     # the surviving tubes in order, as (puncture in its own sphere or None
     # when pinned at 0, coordinate datum, F_eval, F_inv)

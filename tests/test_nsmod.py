@@ -5,7 +5,7 @@ import pytest
 
 from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
-from supersew.nsmod import (FockModule, GradedVector, VermaModule,
+from supersew.nsmod import (VAC, FockModule, GradedVector, VermaModule,
                             adjoint_apply, enumerate_basis, exp_act,
                             level_of, ns_bracket_gens, sym_idx2)
 
@@ -78,7 +78,7 @@ def test_jacobi_identity_structure_constants():
 
 def test_verma_highest_weight_actions():
     mod = VermaModule(h=Fraction(3, 2))
-    v = mod.basis_vector(mod.vacuum_key())
+    v = mod.basis_vector(VAC)
     assert v.apply_gen(0) == v.scale(Fraction(3, 2))
     # L(1) L(-1) v_h = 2h v_h
     w = v.apply_gen(-2).apply_gen(2)
@@ -122,16 +122,16 @@ def test_enumerate_basis_counts_the_ns_character():
 
 def test_fock_commutators():
     mod = FockModule()
-    vac = mod.basis_vector(mod.vacuum_key())
+    vac = mod.basis_vector(VAC)
     # a(1) a(-1) vac = vac
-    got = GradedVector(mod, mod.a_apply(-1, mod.vacuum_key()))
+    got = GradedVector(mod, mod.a_apply(-1, VAC))
     got2 = GradedVector(mod, {})
     for k, v in got.t.items():
         for k2, v2 in mod.a_apply(1, k).items():
             got2 = got2 + mod.basis_vector(k2, v * v2)
     assert got2 == vac
     # psi(1/2) psi(-1/2) vac = vac
-    got = GradedVector(mod, mod.psi_apply(-1, mod.vacuum_key()))
+    got = GradedVector(mod, mod.psi_apply(-1, VAC))
     got2 = GradedVector(mod, {})
     for k, v in got.t.items():
         for k2, v2 in mod.psi_apply(1, k).items():
@@ -196,7 +196,7 @@ def test_exp_act_lowering_terminates():
 
 def test_exp_act_raising_with_cap():
     mod = VermaModule(h=0)
-    v = mod.basis_vector(mod.vacuum_key())
+    v = mod.basis_vector(VAC)
     out = exp_act(v, [(-2, GE.scalar(1))], level2_cap=6)
     levels = {level_of(k) for k in out.t}
     assert levels == {0, 2, 4, 6}
@@ -241,7 +241,7 @@ def test_envelope_sign_rule():
     mod = VermaModule(h=0, width=4)
     z1 = GE.gen(1, 4)
     z2 = GE.gen(2, 4)
-    v = mod.basis_vector(mod.vacuum_key(), coeff=z1)
+    v = mod.basis_vector(VAC, coeff=z1)
     got = v.apply_gen(-1, coeff=z2)  # z2 G(-1/2) acting on z1 * vac
     key = ((), (1,))
     assert got.t[key] == -(z2 * z1) or got.t[key] == z2.parity_twist() * z1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supersew.scalars import GQ
-from supersew.grassmann import GrassmannElement as GE
+from supersew.grassmann import GrassmannElement as GE, key_weight
 from supersew.series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
                              _series_inverse_el, apply_ns_terms,
                              exp_ns_terms)
@@ -17,7 +17,18 @@ def z(i):
 
 
 def S(f, g=None, nmax=None):
-    return SuperSeries.from_tables(f, g or {}, width=W, nmax=nmax)
+    """f(x) + phi*g(x) from {exponent: coefficient} tables."""
+    el = GE.zero(W)
+    for phi, table in ((GE.one(W), f), (GE.ovar(PHI, W), g or {})):
+        for n, c in table.items():
+            c = c if isinstance(c, GE) else GE.scalar(c, W)
+            el = el + phi * GE.evar(XVAR, n, W) * c
+    return SuperSeries(el, nmax)
+
+
+def wdegree(el, weights):
+    """The largest weighted degree of el's monomials."""
+    return max(key_weight(k, weights) for k in el.t)
 
 
 def random_series(rng, nmin=-2, nmax=4, odd_too=True):
@@ -50,8 +61,7 @@ def test_D_squared_is_x_derivative():
     for _ in range(25):
         h = random_series(rng)
         lhs = h.D().D()
-        rhs = h.dx()
-        assert lhs.el == rhs.el
+        assert lhs.el == h.el.diff_even(XVAR)
 
 
 def test_identity_map_superconformal():
@@ -61,10 +71,6 @@ def test_identity_map_superconformal():
 def test_x_squared_phi_not_superconformal():
     m = SuperMap(S({2: 1}), S({}, {0: 1}))
     assert m.is_superconformal() is False
-
-
-def test_inversion_map_superconformal():
-    assert SuperMap.inversion(W).is_superconformal() is True
 
 
 def test_undecidable_on_empty_window():
@@ -77,15 +83,6 @@ def test_compose_right_identity():
     h = random_series(rng, nmin=0)
     ident = SuperMap.identity(W)
     assert ident.compose_series(h).el == h.el
-
-
-def test_inversion_squared_flips_phi():
-    inv = SuperMap.inversion(W)
-    ii = inv.then(inv)
-    x = SuperSeries.variable(W)
-    ph = SuperSeries.odd_variable(W)
-    assert ii.ev.el == x.el
-    assert ii.od.el == -ph.el
 
 
 def test_shift_then_inverse_is_identity():
@@ -393,7 +390,7 @@ def test_compose_series_graded_cut_matches_uncut_expansion(monkeypatch):
     got = m.compose_series(h, trunc=trunc)
     assert seen == [[trunc]]
     assert got.el == want.el and got.nmax == want.nmax
-    assert got.el.wdegree({"u": 1}) == 3
+    assert wdegree(got.el, {"u": 1}) == 3
     # the cut leaves every exact term: compare with the full expansion
     full = _uncut(monkeypatch, m, h, ({"u": 1}, 10)).el.truncate({"u": 1}, 3)
     assert got.el == full
@@ -536,6 +533,21 @@ def test_x_cut_composition_keeps_window():
     got = m.compose_series(S({2: 1}), wcap=2)
     assert got == S({2: 1}, nmax=2)
 
+
+def test_windowed_map_with_negative_power_refuses_a_product():
+    # (x + g/x)^2 has no x^5 term, but once x^6 enters the inner map its
+    # x^5 coefficient is 2g: a window through x^5 cannot be claimed
+    g = GE.evar("g", 1, W)
+    ph = S({}, {0: 1})
+    longer = SuperMap(S({1: 1, -1: g, 6: 1}), ph).compose_series(S({2: 1}))
+    assert longer.f_coeff(5) == 2 * g
+    m = SuperMap(S({1: 1, -1: g}, nmax=5), ph)
+    for h in (S({2: 1}), S({}, {1: 1})):
+        with pytest.raises(WindowError):
+            m.compose_series(h)
+    # x and phi alone read each factor once
+    assert m.compose_series(S({1: 1})).nmax == 5
+    assert m.compose_series(ph).el == ph.el
 
 def _compose_uncut(monkeypatch, m, h, wcap, trunc):
     from supersew import series

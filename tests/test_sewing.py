@@ -8,7 +8,7 @@ from supersew import sewing
 from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
 from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
                               e_tilde, inf_exp_map, max_index, ns_terms)
-from supersew.nsmod import VermaModule, enumerate_basis, exp_act
+from supersew.nsmod import VAC, VermaModule, enumerate_basis, exp_act
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
                              solve_psi, tangent_functional,
                              tangent_functional_closed_form, theta1, theta2)
@@ -227,8 +227,7 @@ def _gamma_by_ratio(asqrt, A, M, B, N, cap):
     psi = solve_psi(asqrt, d.A, d.M, inf.A, inf.M, cap, trunc, w)[0]
     ai = asqrt.inverse(trunc)
     mod = VermaModule(width=w)
-    vac = mod.vacuum_key()
-    vh = mod.basis_vector(vac)
+    vh = mod.basis_vector(VAC)
     lhs = exp_act(vh, ns_terms(inf.A, inf.M, negate=True, raising=True),
                   trunc=trunc)
     lhs = lhs.apply_dilation(asqrt, -2, ai)
@@ -240,8 +239,8 @@ def _gamma_by_ratio(asqrt, A, M, B, N, cap):
                   trunc=trunc)
     rhs = exp_act(rhs, [(j2, c) for j2, c in psi.items() if j2 < 0],
                   trunc=trunc)
-    w0 = lhs.t.get(vac, GE.zero(w))
-    u0 = rhs.t.get(vac, GE.zero(w))
+    w0 = lhs.t.get(VAC, GE.zero(w))
+    u0 = rhs.t.get(VAC, GE.zero(w))
     gc = ge_log(w0.mul(u0.inverse(trunc), trunc), trunc)
     one = GE.one(w)
     return gc.diff_even("c").subs({"u": one, "v": one}), u0
@@ -316,8 +315,7 @@ def test_sewing_axiom_on_one_tube_spheres():
     rng = random.Random(22)
     trunc = ({"g": 1}, 2)
     mod = VermaModule(width=W)
-    vac = mod.vacuum_key()
-    v0 = mod.basis_vector(vac)
+    v0 = mod.basis_vector(VAC)
     one = GE.one(W)
 
     def even():
@@ -340,8 +338,8 @@ def test_sewing_axiom_on_one_tube_spheres():
         q1m, q2m = q1.mark("g"), q2.mark("g")
         out = sew(q1m, 1, q2m, 2, trunc=trunc, finalize=False)
         r0 = _tube_operator(q1m, _tube_operator(q2m, v0, trunc), trunc) \
-            .t[vac]
-        assert _tube_operator(out, v0, trunc).t[vac] == one
+            .t[VAC]
+        assert _tube_operator(out, v0, trunc).t[VAC] == one
         d1 = q1.coords[0]
         gamma = solve_gamma(d1.asqrt, d1.A, d1.M, q2.inf.A, q2.inf.M, 2)
         assert ge_log(r0, trunc).subs({"g": one}) == \
@@ -898,6 +896,19 @@ def test_exponential_maps_invert_by_negating_their_terms():
         assert (k.ev.el, k.od.el) == (ref.ev.el, ref.od.el)
 
 
+def two_sided_pair():
+    """Data on both sides of the seam, so psi has entries of both signs and
+    an L_0 entry; Q2's first tube is read through the inverse of F2."""
+    a = sc(1) + z(4) * z(5)
+    q1 = ModuliPoint.one_tube(InfCoordData({2: sc(1)}, {1: z(2)}),
+                              CoordData(a, {1: sc(2)}, {1: z(6)}), W)
+    q2 = ModuliPoint(2, [(sc(3), z(1))],
+                     InfCoordData({1: sc(1), 2: sc(-1)}, {1: z(7)}),
+                     [CoordData(sc(2), {2: sc(1)}, {3: z(8)}),
+                      CoordData.identity(W)], W)
+    return q1, q2
+
+
 def test_sewing_path_uses_no_iterative_inverse(monkeypatch):
     def refuse(*_args, **_kw):
         raise AssertionError("iterative inverse on the sewing path")
@@ -906,14 +917,45 @@ def test_sewing_path_uses_no_iterative_inverse(monkeypatch):
     zz = sc(2) + z(1) * z(2)
     th = z(3)
     a = sc(1) + z(4) * z(5)
-    # data on both sides of the seam, so psi has entries of both signs and
-    # an L_0 entry; Q2's first tube is read through the inverse of F2
-    q1 = ModuliPoint.one_tube(InfCoordData({2: sc(1)}, {1: z(2)}),
-                              CoordData(a, {1: sc(2)}, {1: z(6)}), W)
-    q2 = ModuliPoint(2, [(sc(3), z(1))],
-                     InfCoordData({1: sc(1), 2: sc(-1)}, {1: z(7)}),
-                     [CoordData(sc(2), {2: sc(1)}, {3: z(8)}),
-                      CoordData.identity(W)], W)
+    q1, q2 = two_sided_pair()
     assert sew(q1, 1, q2, degree_cap=2).n == 2
     assert theta1(a, {1: sc(2)}, {1: z(6)}, (zz, th), order=2)
     assert theta2({1: sc(1), 2: sc(-1)}, {1: z(7)}, (zz, th), order=2)
+
+
+def test_each_read_off_fits_its_first_window(monkeypatch):
+    # sew builds each read-off's chain once; its slack (the chain's window
+    # less the top degree read) is at least 1 for a coordinate and 0 for
+    # the infinity datum, the bounds given at sew's wcap
+    slacks = {"coord": [], "inf": []}
+    hat_inv, inf_inv = sewing.e_hat_inv, sewing.e_inf_inv_flipped
+
+    def record(kind, H, top):
+        slacks[kind] += [c.nmax - top for c in (H.ev, H.od)
+                         if c.nmax is not None]
+
+    def hat(H, order, trunc=None, check=True):
+        record("coord", H, order)
+        return hat_inv(H, order, trunc, check)
+
+    def inf(Hf, idxcap, trunc, check=True):
+        record("inf", Hf, idxcap - 1)
+        return inf_inv(Hf, idxcap, trunc, check)
+    monkeypatch.setattr(sewing, "e_hat_inv", hat)
+    monkeypatch.setattr(sewing, "e_inf_inv_flipped", inf)
+    rng = random.Random(3)
+    e = ModuliPoint.unit(W)
+    q1, q2, q3 = random_sk1(rng), random_sk2(rng), random_sk3(rng)
+    # infinity data with a body at indices 2 and 3, so hd has a long tail
+    # of negative powers that meets the window F1^{-1} leaves
+    deep = ModuliPoint(2, [(sc(4), z(7))],
+                       InfCoordData({2: sc(2), 3: sc(1)}, {3: z(2)}),
+                       [random_coord(rng), random_coord(rng)], W)
+    left, right = two_sided_pair()
+    cases = [(q2, 1, e), (q2, 2, e), (e, 1, q2), (q1, 1, e), (e, 1, q1),
+             (q1, 1, q2), (q2, 2, q1), (q3, 2, q2), (left, 1, right),
+             (e, 1, zero_tube_point()), (deep, 1, zero_tube_point())]
+    for qa, i, qb in cases:
+        assert sew(qa, i, qb, degree_cap=2).n == qa.n + qb.n - 1
+    # both bounds are reached; the deep point reaches its bound past wcap
+    assert min(slacks["coord"]) == 1 and min(slacks["inf"]) == 0
