@@ -157,7 +157,7 @@ def e_hat(d, order=None, trunc=None):
                     base.od.clone(el=a * base.od.el))
 
 
-def e_hat_inv(H, order, trunc=None, check=True):
+def e_hat_inv(H, order, trunc=None):
     """Recover (asqrt, A, M) from a superconformal series vanishing at 0.
 
     ``_read_off`` solves degree by degree: at x^n the even slot gives
@@ -167,9 +167,9 @@ def e_hat_inv(H, order, trunc=None, check=True):
     ValueError when H is visibly not of the required shape (nonzero value
     at 0, stray pure-x coefficients that no datum can produce, non-invertible
     leading coefficient).  The read-off matches the other pure-x
-    coefficients through x^order by construction; with ``check``,
-    ``_check_phi_parts`` tests the phi-parts at x^0 .. x^(order-1) (the one
-    at x^order involves the unsolved index-order entries).
+    coefficients through x^order by construction; ``_check_phi_parts``
+    tests the phi-parts at x^0 .. x^(order-1) (the one at x^order involves
+    the unsolved index-order entries).
     """
     ev, od = H.ev, H.od
     for comp in (ev, od):
@@ -179,13 +179,12 @@ def e_hat_inv(H, order, trunc=None, check=True):
     asqrt = od.g_coeff(0)
     ai = asqrt.inverse(trunc)
     a2i = ai * ai
-    if check and (od.f_coeff(0)):
+    if od.f_coeff(0):
         raise ValueError("odd component has a constant term")
     if _cut(a2i * ev.f_coeff(1) - GE.one(H.width), trunc):
         raise ValueError("x-coefficient of the even part is not asqrt^2")
     res, sl = _read_off(H, range(1, 2 * order), trunc, (a2i, ai))
-    if check:
-        _check_phi_parts(H, sl, range(0, order), trunc, (a2i, ai))
+    _check_phi_parts(H, sl, range(0, order), trunc, (a2i, ai))
     A = {s // 2: v for s, v in res.items() if s % 2 == 0}
     M = {s: v for s, v in res.items() if s % 2}
     return CoordData(asqrt, A, M)

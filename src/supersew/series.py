@@ -454,7 +454,7 @@ class SuperMap:
         return SuperMap(self.compose_series(outer.ev, wcap, trunc),
                         self.compose_series(outer.od, wcap, trunc))
 
-    def eval_at(self, z, theta, zinv=None, trunc=None):
+    def eval_at(self, z, theta, trunc=None):
         """Evaluate both components at a point; series must be exact."""
         vals = []
         for comp in (self.ev, self.od):
@@ -462,7 +462,7 @@ class SuperMap:
                 raise WindowError("evaluation requires an exact series")
             inv = None
             if comp.support_min() is not None and comp.support_min() < 0:
-                inv = zinv if zinv is not None else z.inverse(trunc)
+                inv = z.inverse(trunc)
             vals.append(comp.el.subs({XVAR: z, PHI: theta},
                                      inverses={XVAR: inv} if inv is not None
                                      else None))

@@ -1,6 +1,6 @@
 """Moduli points (superspheres with tubes, encoded as punctures plus local
 coordinate data), the symmetric-group action, the canonical sewing solution
-and its central-charge series, and the two families of sewn-coordinate data.
+and its central-charge series.
 
 Truncation model: all coordinate-data entries (the A_j, M_{j-1/2} of every
 local coordinate and the infinity data) are graded by even bookkeeping
@@ -220,81 +220,6 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
     return gc.diff_even("c").subs({"u": one, "v": one})
 
 
-# -- sewn-coordinate series --------------------------------------------------
-
-def theta1(asqrt, A, M, point, order, idxcap=None, finalize=True,
-           as_data=False):
-    """Coordinate data of the sewn local coordinate when a generic
-    one-tube datum absorbs a standard puncture at ``point``.
-
-    Returns {0: log-scale entry, 2j: even entries, 2j-1: odd entries},
-    exact through total (A, M)-degree <= order.  With as_data=True the raw
-    coordinate datum is returned instead (scale entry not logged), which
-    stays polynomial after the grading marker is substituted away.
-    """
-    w = data_width(asqrt, A, M, *point)
-    d = CoordData(asqrt, A, M).scale_marker("u")
-    trunc = ({"u": 1}, order)
-    jmax = max_index((d.A, d.M)) or 1
-    if idxcap is None:
-        idxcap = order * jmax + 1
-    z, th = point
-    h1 = e_hat(d, trunc=trunc)
-    ai = asqrt.inverse(trunc)
-    # e_tilde exponentiates the negated terms, so its inverse uses them as is
-    k = SuperMap.dilation(ai).then(exp_ns_map(ns_terms(d.A, d.M), w,
-                                              trunc=trunc), trunc=trunc)
-    zt, tht = k.eval_at(z, th, trunc=trunc)
-    wcap = idxcap + 2
-    chain = SuperMap.dilation(ai)
-    chain = chain.then(SuperMap.shift_inverse(zt, tht), wcap=wcap, trunc=trunc)
-    chain = chain.then(h1, wcap=wcap, trunc=trunc)
-    chain = chain.then(SuperMap.shift(z, th), wcap=wcap, trunc=trunc)
-    td = e_hat_inv(chain, order=idxcap, trunc=trunc)
-    return _theta_output(td, trunc, w, finalize, as_data, "u")
-
-
-def _theta_output(td, trunc, w, finalize, as_data, marker):
-    if as_data:
-        if finalize:
-            one = GE.one(w)
-            td = td.subs({marker: one})
-        return td
-    table = {0: ge_log(td.asqrt, trunc)}
-    for j, val in td.A.items():
-        table[2 * j] = val
-    for r2, val in td.M.items():
-        table[r2] = val
-    table = {j2: c for j2, c in table.items() if c}
-    if finalize:
-        one = GE.one(w)
-        table = {j2: c.subs({marker: one}) for j2, c in table.items()}
-        table = {j2: c for j2, c in table.items() if c}
-    return table
-
-
-def theta2(B, N, point, order, idxcap=None, finalize=True, as_data=False):
-    """Coordinate data of the sewn local coordinate when an infinity datum
-    is absorbed at the puncture ``point`` of a standard two-tube sphere."""
-    w = data_width(B, N, *point)
-    inf = InfCoordData(B, N).scale_marker("v")
-    trunc = ({"v": 1}, order)
-    if idxcap is None:
-        idxcap = order * (max_index((inf.A, inf.M)) or 1) + 1
-    z, th = point
-    hd = inf_exp_map(inf.A, inf.M, trunc, width=w)
-    hdi = exp_ns_map(ns_terms(inf.A, inf.M, negate=True, raising=True), w,
-                     trunc=trunc)
-    zi = z.inverse()
-    zt, tht = hdi.eval_at(z, th, zinv=zi, trunc=trunc)
-    wcap = idxcap + 2
-    chain = SuperMap.shift_inverse(zt, tht)
-    chain = chain.then(hd, wcap=wcap, trunc=trunc)
-    chain = chain.then(SuperMap.shift(z, th), wcap=wcap, trunc=trunc)
-    td = e_hat_inv(chain, order=idxcap, trunc=trunc)
-    return _theta_output(td, trunc, w, finalize, as_data, "v")
-
-
 # -- the sewing operation -----------------------------------------------------
 
 def e_inf_inv_flipped(Hf, idxcap, trunc, check=True):
@@ -369,8 +294,8 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                         trunc=trunc).then(SuperMap.shift_inverse(zi, thi))
 
     def f1_eval(pt):
-        return fbar1.eval_at(*_shift_pt((zi, thi), pt or (zero, zero)),
-                             trunc=trunc)
+        x, t = _shift_pt((zi, thi), pt or (zero, zero))
+        return fbar1.eval_at(x, t, trunc=trunc)
 
     # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
     p0 = psi.get(0, zero)
@@ -528,28 +453,3 @@ def tangent_functional(z, theta, cap=3):
         if d:
             table[label] = d
     return table
-
-
-def tangent_functional_closed_form(z, theta, jcap=3):
-    """The same functional read off from the closed-form expansion:
-    z^(-(2k-1)j-2+k) on the odd entries and 2*theta*z^(-(2k-1)j-2) on the
-    even ones, with (1/2) * 2*theta*z^(-2) on the scale entry."""
-    w = z.width
-    zi = z.inverse()
-    table = {}
-    for k in (0, 1):
-        for j in range(1, jcap + 1):
-            e = -(2 * k - 1) * j - 2 + k
-            table[("M", k, 2 * j - 1)] = zpow(zi, z, e)
-            ea = -(2 * k - 1) * j - 2
-            val = 2 * theta * zpow(zi, z, ea)
-            if val:
-                table[("A", k, j)] = val
-    val = theta * zpow(zi, z, -2)
-    if val:
-        table[("asqrt", 1)] = val
-    return table
-
-
-def zpow(zi, z, e):
-    return z ** e if e >= 0 else zi ** (-e)

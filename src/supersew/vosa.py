@@ -190,58 +190,20 @@ def _evens(*pairs):
     return tuple(sorted(p for p in pairs if p[1]))
 
 
-def _binom_expand(n, va, vb, corr, kmax, w, flip):
-    """(va + flip*vb + corr)^n in nonneg powers of vb (and the nilpotent
-    correction), k <= kmax."""
-    out = GE.zero(w)
-    top = kmax if n < 0 else min(n, kmax)
-    base = GE.evar(vb, 1, w) * flip + corr
-    power = GE.one(w)
-    for k in range(top + 1):
-        if k:
-            power = power * base
-        out = out + GQ(binom(n, k)) * GE.evar(va, n - k, w) * power
-    return out
-
-
 class RationalSuperfunction:
-    """g / (x_a^r x_b^s (x_a - x_b - ph_a ph_b)^t) with polynomial g."""
+    """g / (x1^r x2^s (x1 - x2 - ph1 ph2)^t) with polynomial g."""
 
-    def __init__(self, num, r, s, t, va=X1, vb=X2, pa=PH1, pb=PH2):
+    def __init__(self, num, r, s, t):
         self.num = num
         self.r = r
         self.s = s
         self.t = t
-        self.va = va
-        self.vb = vb
-        self.pa = pa
-        self.pb = pb
-
-    def iota_expand(self, order, kmax):
-        """Series expansion: order "ab" expands the difference factor in
-        positive powers of the second variable, "ba" in positive powers of
-        the first."""
-        w = self.num.width
-        ph = GE.ovar(self.pa, w) * GE.ovar(self.pb, w)
-        if order == "ab":
-            fac = _binom_expand(-self.t, self.va, self.vb, -ph, kmax, w,
-                                flip=-1)
-        elif order == "ba":
-            fac = GE.scalar((-1) ** self.t, w) * \
-                _binom_expand(-self.t, self.vb, self.va, ph, kmax, w, flip=-1)
-        else:
-            raise ValueError("order must be 'ab' or 'ba'")
-        out = self.num * fac
-        out = out * GE.evar(self.va, -self.r, w) * GE.evar(self.vb, -self.s, w)
-        return out
 
     def eval_at(self, za, ta, zb, tb, trunc=None):
         """Exact evaluation at points with invertible bodies."""
-        w = self.num.width
-        num = self.num.subs({self.va: za, self.vb: zb,
-                             self.pa: ta, self.pb: tb},
-                            inverses={self.va: za.inverse(trunc),
-                                      self.vb: zb.inverse(trunc)})
+        num = self.num.subs({X1: za, X2: zb, PH1: ta, PH2: tb},
+                            inverses={X1: za.inverse(trunc),
+                                      X2: zb.inverse(trunc)})
         den = (za ** self.r if self.r >= 0 else za.inverse(trunc) ** -self.r)
         den = den * (zb ** self.s if self.s >= 0
                      else zb.inverse(trunc) ** -self.s)

@@ -1,4 +1,5 @@
-"""Every definition under ``src/supersew/`` has a caller.
+"""Every definition under ``src/supersew/`` has a caller, and every option
+one of its callers sets.
 
 A non-dunder ``def`` or ``class`` counts as used when its name appears
 outside its own line span in ``src/supersew/*.py`` or in a non-test
@@ -10,6 +11,12 @@ the tracer names some methods only as strings.
 A mention cannot tell which of two same-named definitions it calls, so a
 name defined more than once counts for all of them.  ``SHARED`` therefore
 names every definition of such a name with its caller.
+
+An option is a parameter with a default.  It counts as set when a call in
+the same sources passes it by keyword or at its position, or passes ``*`` or
+``**``.  Calls match by name (an ``__init__`` by its class's name, a subclass
+that inherits it, an import alias or ``cls``), so a name defined more than
+once shares its calls, as above.  ``KNOBS`` names every option no call sets.
 """
 
 import ast
@@ -20,20 +27,28 @@ ROOT = Path(__file__).resolve().parent.parent
 # Definitions without a caller that stay on purpose.
 ALLOWED = {
     # ROADMAP item 1 (nu(Q) and the sewing axiom) gives these their caller
-    "theta1": "item 1(b) reads the sewn data from it",
-    "theta2": "item 1(b) reads the sewn data from it",
     "tangent_functional": "item 1(c) takes G(-1/2) from the odd tangent",
-    "tangent_functional_closed_form": "item 1(c), as tangent_functional",
     "adjoint_apply": "item 1(b) builds nu(Q) on the dual module with it",
     "RationalSuperfunction": "item 1(c) takes it as the reference value",
-    "iota_expand": "item 1(c), as RationalSuperfunction, whose method it is",
+}
+
+# Options that no call sets, kept on purpose ("function.parameter"; an
+# __init__ option under its class's name).
+KNOBS = {
+    "exp_act.level2_cap": "ROADMAP item 3 cuts Gamma's vector at a level",
+    "adjoint_apply.coeff": "item 1(b), as adjoint_apply",
+    "tangent_functional.cap": "item 1(c), as tangent_functional",
+    "inverse_at_zero.trunc": "inverse_at_zero is the tests' reference",
+    "basis_vector.coeff": "the tests build scaled basis vectors with it",
+    "is_superconformal.trunc": "the tests check graded maps with it",
+    "VermaModule.h": "the tests build modules of nonzero highest weight",
 }
 
 # Every definition of each name defined more than once, with its caller.
 SHARED = {
     "eval_at": {
-        "series.SuperMap.eval_at": "sew's F1, F2 and theta1, theta2 evaluate "
-                                   "maps at punctures",
+        "series.SuperMap.eval_at": "sew's F1 and F2 evaluate maps at "
+                                   "punctures",
         "vosa.RationalSuperfunction.eval_at":
             "item 1(c), as RationalSuperfunction, whose method it is",
     },
@@ -154,3 +169,108 @@ def test_every_definition_of_a_shared_name_is_named():
     assert not stale, "SHARED names no longer shared: %r" % stale
     for name, q in shared.items():
         assert q == set(SHARED[name]), (name, sorted(q ^ set(SHARED[name])))
+
+
+def _options(tree, cls=None):
+    """(key, callee name, parameter, position or None) of every parameter
+    with a default; the position counts the arguments a call passes, so it
+    skips a method's self or cls."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _options(node, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            name = cls if node.name == "__init__" else node.name
+            first = len(pos) - len(a.defaults)
+            params = [(p.arg, k - bound) for k, p in enumerate(pos)
+                      if k >= first]
+            params += [(p.arg, None) for p, d in zip(a.kwonlyargs,
+                                                     a.kw_defaults)
+                       if d is not None]
+            for param, k in params:
+                yield "%s.%s" % (name, param), name, param, k
+            yield from _options(node)
+        else:
+            yield from _options(node, cls)
+
+
+def _calls(tree, cls=None):
+    """(called name, call) of every call; ``cls`` names the class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _calls(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            yield cls if name == "cls" else name, node
+        yield from _calls(node, cls)
+
+
+def _init_owners(trees):
+    """{name: the class whose __init__ a call of that name runs}: the class
+    itself, its nearest base in the sources that defines one, or the class
+    an import alias names."""
+    classes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                own = any(isinstance(b, ast.FunctionDef)
+                          and b.name == "__init__" for b in node.body)
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                classes[node.name] = (own, bases)
+
+    def owner(name):
+        own, bases = classes[name]
+        if own:
+            return name
+        found = [owner(b) for b in bases if b in classes]
+        return next((o for o in found if o), None)
+    owners = {name: owner(name) for name in classes}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.asname and \
+                    node.name in owners:
+                owners[node.asname] = owners[node.name]
+    return {n: o for n, o in owners.items() if o is not None}
+
+
+def unset_options():
+    """{key: 'file'} of the src options that no call sets."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in _sources()}
+    owners = _init_owners(trees.values())
+    calls = {}
+    for tree in trees.values():
+        for name, node in _calls(tree):
+            calls.setdefault(owners.get(name, name), []).append(node)
+    out = {}
+    src = ROOT / "src" / "supersew"
+    for path, tree in trees.items():
+        if path.parent != src:
+            continue
+        for key, name, param, k in _options(tree):
+            if not any(_sets(call, param, k) for call in calls.get(name, ())):
+                out[key] = str(path.relative_to(ROOT))
+    return out
+
+
+def _sets(call, param, k):
+    """Whether ``call`` passes ``param`` (at position ``k``, or None for a
+    keyword-only one)."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg in (None, param) for kw in call.keywords)
+            or k is not None and k < len(call.args))
+
+
+def test_every_src_option_is_set_by_a_caller():
+    unset = unset_options()
+    unexplained = {k: w for k, w in unset.items() if k not in KNOBS}
+    assert not unexplained, "options no call sets: %r" % unexplained
+    # an option that gained a setter, or was deleted, leaves the table
+    stale = set(KNOBS) - set(unset)
+    assert not stale, "listed in KNOBS but set or gone: %r" % sorted(stale)

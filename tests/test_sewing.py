@@ -7,11 +7,11 @@ from supersew.scalars import GQ
 from supersew import sewing
 from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
 from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
-                              e_tilde, inf_exp_map, max_index, ns_terms)
+                              e_hat_inv, e_tilde, inf_exp_map, max_index,
+                              ns_terms)
 from supersew.nsmod import VAC, VermaModule, enumerate_basis, exp_act
 from supersew.sewing import (ModuliPoint, SewError, sew, sn_act, solve_gamma,
-                             solve_psi, tangent_functional,
-                             tangent_functional_closed_form, theta1, theta2)
+                             solve_psi, tangent_functional)
 from supersew.series import SuperMap, exp_ns_map
 
 W = 8
@@ -638,51 +638,55 @@ def test_sn_act_matches_adjacent_transpositions(monkeypatch):
                     (qz - pz - qt * pt, qt - pt), (sigma, k)
 
 
-def test_theta_zero_data_trivial():
-    zz = sc(3)
-    th = z(1)
-    assert theta1(GE.one(W), {}, {}, (zz, th), order=3) == {}
-    assert theta2({}, {}, (zz, th), order=3) == {}
+def _sewn_by_chain(h, h_inv, point, idxcap, trunc, frame=None):
+    """The reference for the tube that ``sew`` moves off (z, theta): its
+    new puncture p = h^{-1}(z, theta), and its datum read by e_hat_inv off
+    s_p^{-1}, then h, then s_(z, theta), after ``frame`` when one is given.
+    Both come back with the marker g set to 1."""
+    zz, th = point
+    pz, pt = h_inv.eval_at(zz, th, trunc=trunc)
+    chain = SuperMap.shift_inverse(pz, pt)
+    if frame is not None:
+        chain = frame.then(chain, trunc=trunc)
+    for f in (h, SuperMap.shift(zz, th)):
+        chain = chain.then(f, wcap=idxcap + 3, trunc=trunc)
+    one = {"g": GE.one(W)}
+    td = e_hat_inv(chain, order=idxcap, trunc=trunc)
+    return td.subs(one), (pz.subs(one), pt.subs(one))
 
 
 def test_theta1_matches_sewn_coordinate():
+    # the coordinate side at degree 3: the paper's Theta^(1) data of the
+    # moved tube, on a bodyful scale and nilpotent entries
     zz = sc(2) + z(1) * z(2)
     th = z(3)
     a = sc(1) + z(4) * z(5)
-    A = {1: sc(2)}
-    M = {1: z(6)}
-    q1 = ModuliPoint.one_tube(InfCoordData(), CoordData(a, A, M), W)
+    d = CoordData(a, {1: sc(2)}, {1: z(6)})
+    q1 = ModuliPoint.one_tube(InfCoordData(), d, W)
     got = sew(q1, 1, std2(zz, th), degree_cap=3, idxcap=8)
-    # puncture lands at the preimage of (zz, th) under the coordinate map
-    d = CoordData(a, A, M)
     trunc = ({"g": 1}, 3)
-    dm = CoordData(a, {j: GE.evar("g", 1, W) * v for j, v in A.items()},
-                   {r: GE.evar("g", 1, W) * v for r, v in M.items()})
-    H = e_hat(dm, trunc=trunc)
-    K = H.inverse_at_zero(order=9, trunc=trunc)
-    K = SuperMap(K.ev.clone(nmax=None), K.od.clone(nmax=None))
-    pz, pt = K.eval_at(zz, th, trunc=trunc)
-    one = GE.one(W)
-    pz, pt = pz.subs({"g": one}), pt.subs({"g": one})
-    assert got.punctures[0] == (pz, pt)
-    # the new coordinate carries the theta-1 data up to the scale bridge:
-    # the table is read in the frame rescaled by the absorbed datum's scale,
-    # so entry j is rescaled by asqrt^(2j) (and the leading entry by asqrt)
-    td = theta1(a, A, M, (zz, th), order=3, idxcap=8, as_data=True)
-    c0 = got.coords[0]
-    assert c0.asqrt == a * td.asqrt
-    assert c0.A == {j: (a ** (2 * j)) * v for j, v in td.A.items()}
-    assert c0.M == {r2: (a ** r2) * v for r2, v in td.M.items()}
-    # the scale entry of the logged table exponentiates back to the datum
-    table = theta1(a, A, M, (zz, th), order=3, idxcap=8, finalize=False)
-    back = ge_exp(table.get(0, GE.zero(W)), ({"u": 1}, 3))
-    assert back.subs({"u": GE.one(W)}) == td.asqrt
+    h = e_hat(d.scale_marker("g"), trunc=trunc)
+    h_inv = h.inverse_at_zero(order=9, trunc=trunc)
+    h_inv = SuperMap(h_inv.ev.clone(nmax=None), h_inv.od.clone(nmax=None))
+    td, p = _sewn_by_chain(h, h_inv, (zz, th), 8, trunc)
+    # the puncture lands at the preimage of (zz, th) under the coordinate map
+    assert got.punctures[0] == p
+    assert got.coords[0] == td
+    # the scale bridge: read in the frame rescaled by 1/asqrt, entry j is
+    # rescaled by asqrt^(-2j) and the leading entry by 1/asqrt
+    frame = SuperMap.dilation(a.inverse(trunc))
+    tf, _p = _sewn_by_chain(h, h_inv, (zz, th), 8, trunc, frame)
+    assert td.asqrt == a * tf.asqrt
+    assert td.A == {j: (a ** (2 * j)) * v for j, v in tf.A.items()}
+    assert td.M == {r: (a ** r) * v for r, v in tf.M.items()}
     # the 0-pinned coordinate is untouched
     assert got.coords[1] == d
     assert got.inf == InfCoordData()
 
 
 def test_theta2_matches_sewn_coordinate():
+    # the infinity side at degree 3: the paper's Theta^(2) data of the
+    # moved tube, with two bodyful entries in the absorbed infinity datum
     zz = sc(3) + z(1) * z(2)
     th = z(3)
     B0 = {1: sc(1), 2: sc(-1)}
@@ -690,20 +694,96 @@ def test_theta2_matches_sewn_coordinate():
     b1 = sc(2)
     q2 = ModuliPoint.one_tube(InfCoordData(B0, N0), CoordData(b1), W)
     got = sew(std2(zz, th), 2, q2, degree_cap=3, idxcap=8)
-    td = theta2(B0, N0, (zz, th), order=3, idxcap=8, as_data=True)
+    trunc = ({"g": 1}, 3)
+    g = GE.evar("g", 1, W)
+    hd = inf_exp_map({j: g * v for j, v in B0.items()},
+                     {r: g * v for r, v in N0.items()}, trunc, width=W)
+    td, p = _sewn_by_chain(hd, hd.inverse_graded(trunc), (zz, th), 8, trunc)
     assert got.coords[0] == td
     assert got.inf == InfCoordData(B0, N0)
     assert got.coords[1] == CoordData(b1)
     # the moved puncture is the preimage of (zz, th) under the negative-side
     # exponential map
-    trunc = ({"g": 1}, 3)
+    assert got.punctures[0] == p
+
+
+def test_sew_moved_tube_matches_reference_chain():
+    # std2's tube at (z, theta) moves when a one-tube point is sewn on
+    # either side: std2's infinity into the point's tube, whose coordinate
+    # d gives h = e_hat(d), or the point's infinity datum (B, N) into
+    # std2's tube 2, which gives h = h_d, the map at infinity
+    rng = random.Random(43)
+    trunc = ({"g": 1}, 2)
     g = GE.evar("g", 1, W)
-    hd = inf_exp_map({j: g * v for j, v in B0.items()},
-                     {r: g * v for r, v in N0.items()}, trunc, width=W)
-    hdi = hd.inverse_graded(trunc)
-    xz, xt = hdi.eval_at(zz, th, trunc=trunc)
-    one = GE.one(W)
-    assert got.punctures[0] == (xz.subs({"g": one}), xt.subs({"g": one}))
+
+    def entries():
+        j, r = rng.randrange(1, 3), 2 * rng.randrange(1, 3) - 1
+        return ({j: sc(rng.choice((-2, -1, 1, 2)))
+                 + rng.randrange(-1, 2) * z(1) * z(2)},
+                {r: rng.choice((-1, 1)) * z(3) + rng.randrange(-1, 2) * z(4)})
+    for _ in range(4):
+        point = (sc(rng.randrange(2, 5)) + rng.randrange(-1, 2) * z(5) * z(6),
+                 rng.choice((-1, 1)) * z(7) + rng.randrange(-1, 2) * z(8))
+        inf, (B, N) = InfCoordData(*entries()), entries()
+        d = CoordData(sc(rng.choice((1, 2))) + rng.randrange(-1, 2)
+                      * z(1) * z(2), *entries())
+        dm = d.scale_marker("g")
+
+        # coordinate side: Q1's tube carries d, its infinity stays put
+        q1 = ModuliPoint.one_tube(inf, d, W)
+        got = sew(q1, 1, std2(*point), degree_cap=2, idxcap=6)
+        h = e_hat(dm, trunc=trunc)
+        h_inv = h.inverse_at_zero(order=7, trunc=trunc)
+        h_inv = SuperMap(h_inv.ev.clone(nmax=None), h_inv.od.clone(nmax=None))
+        td, p = _sewn_by_chain(h, h_inv, point, 6, trunc)
+        assert got.coords[0] == td
+        assert got.punctures[0] == p
+        assert got.coords[1] == d
+        assert got.inf == inf
+        # the scale bridge: read in the frame rescaled by 1/asqrt, entry j
+        # is rescaled by asqrt^(-2j) and the leading entry by 1/asqrt
+        a = d.asqrt
+        frame = SuperMap.dilation(a.inverse(trunc))
+        tf, _p = _sewn_by_chain(h, h_inv, point, 6, trunc, frame)
+        assert td.asqrt == a * tf.asqrt
+        assert td.A == {j: (a ** (2 * j)) * v for j, v in tf.A.items()}
+        assert td.M == {r2: (a ** r2) * v for r2, v in tf.M.items()}
+
+        # infinity side: Q2's infinity datum is absorbed, its tube stays put
+        q2 = ModuliPoint.one_tube(InfCoordData(B, N), d, W)
+        got = sew(std2(*point), 2, q2, degree_cap=2, idxcap=6)
+        h = inf_exp_map({j: g * v for j, v in B.items()},
+                        {r: g * v for r, v in N.items()}, trunc, width=W)
+        td, p = _sewn_by_chain(h, h.inverse_graded(trunc), point, 6, trunc)
+        assert got.coords[0] == td
+        assert got.punctures[0] == p
+        assert got.coords[1] == d
+        assert got.inf == InfCoordData(B, N)
+
+
+def tangent_functional_closed_form(z, theta, jcap=3):
+    """The reference for tangent_functional, read off from the closed-form
+    expansion: z^(-(2k-1)j-2+k) on the odd entries and
+    2*theta*z^(-(2k-1)j-2) on the even ones, with (1/2) * 2*theta*z^(-2) on
+    the scale entry."""
+    zi = z.inverse()
+    table = {}
+    for k in (0, 1):
+        for j in range(1, jcap + 1):
+            e = -(2 * k - 1) * j - 2 + k
+            table[("M", k, 2 * j - 1)] = zpow(zi, z, e)
+            ea = -(2 * k - 1) * j - 2
+            val = 2 * theta * zpow(zi, z, ea)
+            if val:
+                table[("A", k, j)] = val
+    val = theta * zpow(zi, z, -2)
+    if val:
+        table[("asqrt", 1)] = val
+    return table
+
+
+def zpow(zi, z, e):
+    return z ** e if e >= 0 else zi ** (-e)
 
 
 def test_tangent_functional_two_routes():
@@ -884,7 +964,7 @@ def test_exponential_maps_invert_by_negating_their_terms():
                 off = neg[:i] + [terms[i]] + neg[i + 1:]
                 assert f.then(exp_ns_map(off, W, trunc=trunc),
                               trunc=trunc) != ident
-        # theta1's inverse of e_hat: dilation by 1/asqrt, then the
+        # the closed-form inverse of e_hat: dilation by 1/asqrt, then the
         # exponential of the unnegated terms
         ai = d.asqrt.inverse(trunc)
         k = SuperMap.dilation(ai).then(exp_ns_map(ns_terms(d.A, d.M), W,
@@ -914,13 +994,8 @@ def test_sewing_path_uses_no_iterative_inverse(monkeypatch):
         raise AssertionError("iterative inverse on the sewing path")
     monkeypatch.setattr(SuperMap, "inverse_graded", refuse)
     monkeypatch.setattr(SuperMap, "inverse_at_zero", refuse)
-    zz = sc(2) + z(1) * z(2)
-    th = z(3)
-    a = sc(1) + z(4) * z(5)
     q1, q2 = two_sided_pair()
     assert sew(q1, 1, q2, degree_cap=2).n == 2
-    assert theta1(a, {1: sc(2)}, {1: z(6)}, (zz, th), order=2)
-    assert theta2({1: sc(1), 2: sc(-1)}, {1: z(7)}, (zz, th), order=2)
 
 
 def test_each_read_off_fits_its_first_window(monkeypatch):
@@ -934,9 +1009,9 @@ def test_each_read_off_fits_its_first_window(monkeypatch):
         slacks[kind] += [c.nmax - top for c in (H.ev, H.od)
                          if c.nmax is not None]
 
-    def hat(H, order, trunc=None, check=True):
+    def hat(H, order, trunc=None):
         record("coord", H, order)
-        return hat_inv(H, order, trunc, check)
+        return hat_inv(H, order, trunc)
 
     def inf(Hf, idxcap, trunc, check=True):
         record("inf", Hf, idxcap - 1)

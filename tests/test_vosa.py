@@ -7,9 +7,8 @@ from supersew.scalars import GQ
 from supersew.grassmann import GrassmannElement as GE
 from supersew.nsmod import FockModule, GradedVector, enumerate_basis, level_of
 from supersew.vosa import (ABOSE, PH1, PH2, PSIV, TAU, VAC, X0, X1, X2,
-                           FockVOSA, RationalSuperfunction, _binom_expand, binom,
-                           delta_series, iterate_series, pair_dual,
-                           two_point)
+                           FockVOSA, RationalSuperfunction, binom,
+                           delta_series, iterate_series, pair_dual, two_point)
 
 W = 4
 
@@ -358,22 +357,6 @@ def test_associativity_of_rational_functions():
     assert monomial_window(lhs_poly - rhs_poly, (X1, X2), 12) == GE.zero(w)
 
 
-def test_iota_expansions_of_simple_pole():
-    w = W
-    f = RationalSuperfunction(GE.one(w), 0, 0, 1)
-    e12 = f.iota_expand("ab", kmax=6)
-    # sum_k x2^k x1^{-k-1} plus the ph1 ph2 derivative correction
-    ph = GE.ovar(PH1, w) * GE.ovar(PH2, w)
-    want = GE.zero(w)
-    for k in range(0, 7):
-        want = want + GE.evar(X1, -k - 1, w) * GE.evar(X2, k, w)
-        want = want + GQ(k + 1) * ph * GE.evar(X1, -k - 2, w) * \
-            GE.evar(X2, k, w)
-    # compare within the window where the expansion is exact
-    diff = monomial_window(e12 - want, (X1, X2), 6)
-    assert not diff.t
-
-
 def test_rational_superfunction_eval_at_multiplies_back():
     # g / (za^r zb^s (za - zb - ta tb)^t) times its denominator is g at the
     # point, for either sign of each exponent
@@ -401,14 +384,6 @@ def test_rational_superfunction_eval_at_multiplies_back():
             got = got * (base ** e if e >= 0 else base.inverse() ** -e)
         want = num.subs({X1: za, X2: zb, PH1: ta, PH2: tb})
         assert got == want, (r, s, t)
-
-
-def test_iota_on_polynomial_is_identity():
-    w = W
-    num = GE.evar(X1, 2, w) * GE.evar(X2, 1, w) + GE.one(w)
-    f = RationalSuperfunction(num, 0, 0, 0)
-    assert f.iota_expand("ab", kmax=5) == num
-    assert f.iota_expand("ba", kmax=5) == num
 
 
 def test_skew_supersymmetry():
@@ -500,6 +475,20 @@ def _residue(el, var):
         d.pop(var)
         t[(tuple(sorted(d.items())), odds)] = val
     return GE(el.width, t)
+
+
+def _binom_expand(n, va, vb, corr, kmax, w, flip):
+    """(va + flip*vb + corr)^n in nonneg powers of vb (and the nilpotent
+    correction), k <= kmax, one product per power."""
+    out = GE.zero(w)
+    top = kmax if n < 0 else min(n, kmax)
+    base = GE.evar(vb, 1, w) * flip + corr
+    power = GE.one(w)
+    for k in range(top + 1):
+        if k:
+            power = power * base
+        out = out + GQ(binom(n, k)) * GE.evar(va, n - k, w) * power
+    return out
 
 
 def binom_expand_by_powers(n, va, vb, corr, kmax, w, flip):
