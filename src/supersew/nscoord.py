@@ -52,6 +52,13 @@ def _entries(A, M):
     return A, M
 
 
+def _window(A, M, jmax, r2max, trunc):
+    """(A, M) cut by ``trunc`` and kept at A_j for j <= jmax and M_{r2} for
+    r2 <= r2max; an entry that the cut makes zero is dropped."""
+    return ({j: v.truncate(*trunc) for j, v in A.items() if j <= jmax},
+            {r2: v.truncate(*trunc) for r2, v in M.items() if r2 <= r2max})
+
+
 def _marked(name, A, M):
     """(A, M) with every entry multiplied by the even bookkeeping variable
     ``name``; the product keeps each entry's width."""
@@ -78,6 +85,13 @@ class CoordData:
     def scale_marker(self, name):
         """Multiply every A and M entry by an even bookkeeping variable."""
         return CoordData(self.asqrt, *_marked(name, self.A, self.M))
+
+    def truncate(self, idxcap, trunc):
+        """The datum cut by ``trunc`` on the slots ``e_hat_inv`` reads at
+        order idxcap: A_j for j < idxcap, M_{r2} for r2 <= 2 idxcap - 1."""
+        return CoordData(self.asqrt.truncate(*trunc),
+                         *_window(self.A, self.M, idxcap - 1, 2 * idxcap - 1,
+                                  trunc))
 
     def subs(self, mapping):
         return CoordData(self.asqrt.subs(mapping),
@@ -108,6 +122,12 @@ class InfCoordData:
     def scale_marker(self, name):
         """Multiply every A and M entry by an even bookkeeping variable."""
         return InfCoordData(*_marked(name, self.A, self.M))
+
+    def truncate(self, idxcap, trunc):
+        """The datum cut by ``trunc`` on the slots ``e_inf_inv`` reads at
+        idxcap: A_j for j <= idxcap, M_{r2} for r2 <= 2 idxcap - 1."""
+        return InfCoordData(*_window(self.A, self.M, idxcap, 2 * idxcap - 1,
+                                     trunc))
 
     def subs(self, mapping):
         return InfCoordData({j: v.subs(mapping) for j, v in self.A.items()},

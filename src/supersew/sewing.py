@@ -16,6 +16,14 @@ x is also cut at its x-window ``wcap``.  Both cuts go into the product
 finite Laurent polynomial, except for expansions of powers of
 (w + invertible), which carry an explicit exactness window in the series
 variable.
+
+What a sewing moves: a tube's datum changes only through the map on its own
+side, and ``sew`` reads off only what a map moves.  Q1's tubes stay when psi
+has no negative key (F1 is the super-translation s_(z_i, theta_i)), Q2's
+when psi has no key >= 0 and the scale asqrt is 1 (F2 is the identity), and
+the infinity datum when Q1's tubes stay and the last tube is pinned in its
+own sphere (the recentring cancels F1).  Each rule is exact because
+super-translations form a group, with s_(s_p(q)) o s_p = s_q.
 """
 
 from fractions import Fraction
@@ -261,6 +269,20 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     degree <= degree_cap (the tag is substituted away unless
     finalize=False).  Passing an explicit trunc continues an existing
     grading, e.g. for associativity comparisons across iterated sewings.
+
+    A tube at c in its own sphere lands at q = F(c) and is read off the
+    chain s_q^{-1}, F^{-1}, s_c, e_hat(datum); the infinity datum off the
+    flip, s_p^{-1}, F1^{-1}, h_inf, with p the image of the last tube.
+    Where that chain is the identity, the datum comes back cut by ``trunc``
+    on the slots its read-off returns:
+    - Q1's tubes, when psi has no negative key: F1 = s_(z_i, theta_i), so
+      F1^{-1} o s_q^{-1} = (s_q o s_(z_i, theta_i))^{-1} = s_c^{-1}.
+    - Q2's tubes, when psi has no key >= 0 and asqrt is 1 under the cut:
+      F2 = exp(psi_+) o (asqrt e^{-psi_0})^{-2L(0)} is the identity.
+    - The infinity datum, when Q1's tubes stay and the last tube is pinned
+      at the origin of its own sphere: on Q1's side p = s_(z_i, theta_i)(0)
+      and s_p^{-1} = s_(z_i, theta_i) cancels F1^{-1}; on Q2's, p is the
+      origin and z_i = theta_i = 0.  A zero-tube result is always read.
     """
     if not 1 <= i <= Q1.n:
         raise SewError("no puncture %d to sew into" % i)
@@ -328,28 +350,39 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         chain = _inf_chain(p, f1_inv, hd, max(wcap, idxcap - low), trunc, w)
         return e_inf_inv_flipped(chain, idxcap, trunc)
 
-    # the surviving tubes in order, as (puncture in its own sphere or None
-    # when pinned at 0, coordinate datum, F_eval, F_inv)
-    def side(Q, ks, f_eval, f_inv):
-        return [(Q.punctures[k - 1] if k < Q.n else None, Q.coords[k - 1],
-                 f_eval, f_inv) for k in ks]
+    # F1 is s_(z_i, theta_i) without psi_-, and F2 the identity without
+    # psi_0, psi_+ and a dilation
+    moved1 = any(j2 < 0 for j2 in psi)
+    moved2 = any(j2 >= 0 for j2 in psi) or d_i.asqrt.truncate(*trunc) != 1
 
-    tubes = (side(Q1, range(1, i), f1_eval, f1_inv)
-             + side(Q2, range(1, n + 1), f2_eval, f2_inv)
-             + side(Q1, range(i + 1, m + 1), f1_eval, f1_inv))
+    # the surviving tubes in order, as (puncture in its own sphere or None
+    # when pinned at 0, coordinate datum, F_eval, F_inv, whether F moves it)
+    def side(Q, ks, f_eval, f_inv, moved):
+        return [(Q.punctures[k - 1] if k < Q.n else None, Q.coords[k - 1],
+                 f_eval, f_inv, moved) for k in ks]
+
+    tubes = (side(Q1, range(1, i), f1_eval, f1_inv, moved1)
+             + side(Q2, range(1, n + 1), f2_eval, f2_inv, moved2)
+             + side(Q1, range(i + 1, m + 1), f1_eval, f1_inv, moved1))
     # image of each tube's puncture in the glued sphere (None: the origin)
-    images = [f_eval(center) for center, _c, f_eval, _f in tubes]
+    images = [f_eval(center) for center, _c, f_eval, _f, _m in tubes]
+    # a pinned last tube recentres by p = s_(z_i, theta_i)(0) on Q1's side
+    # or not at all on Q2's, which cancels s_(z_i, theta_i) in F1^{-1}
+    inf_moved = not tubes or moved1 or tubes[-1][0] is not None
+    hd = _inf_map(Q1.inf, idxcap, trunc, w) if inf_moved else None
     # recenter so that the last tube sits at 0
-    hd = _inf_map(Q1.inf, idxcap, trunc, w)
     p = images[-1] if tubes else \
         _solve_center_normalization(hd, f1_inv, wcap, trunc, w)
     new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
                  for q in images[:-1]]
     # undoing the shift to the new puncture and then the recentering undoes
     # the shift to the image, so each coordinate is read through its image
-    new_coords = [coord_at(coord, center, f_inv, q)
-                  for (center, coord, _e, f_inv), q in zip(tubes, images)]
-    out = ModuliPoint(m + n - 1, new_punct, inf_at(p), new_coords, w,
+    new_coords = [coord_at(coord, center, f_inv, q) if moved
+                  else coord.truncate(idxcap, trunc)
+                  for (center, coord, _e, f_inv, moved), q
+                  in zip(tubes, images)]
+    inf = inf_at(p) if inf_moved else Q1.inf.truncate(idxcap, trunc)
+    out = ModuliPoint(m + n - 1, new_punct, inf, new_coords, w,
                       validate=False)
     if finalize:
         out = out.subs({"g": GE.one(w)})

@@ -78,6 +78,9 @@ SHARED = {
     },
     "truncate": {
         "grassmann.GrassmannElement.truncate": "every graded cut",
+        "nscoord.CoordData.truncate": "sew returns an untouched tube with it",
+        "nscoord.InfCoordData.truncate": "sew returns an untouched infinity "
+                                         "datum with it",
         "nsmod.GradedVector.truncate": "exp_act cuts each term with it",
         "series.SuperMap.truncate": "solve_psi cuts its residual with it",
     },

@@ -998,6 +998,14 @@ def test_sewing_path_uses_no_iterative_inverse(monkeypatch):
     assert sew(q1, 1, q2, degree_cap=2).n == 2
 
 
+def deep_point(rng):
+    """Infinity data with a body at indices 2 and 3, so hd has a long tail
+    of negative powers that meets the window F1^{-1} leaves."""
+    return ModuliPoint(2, [(sc(4), z(7))],
+                       InfCoordData({2: sc(2), 3: sc(1)}, {3: z(2)}),
+                       [random_coord(rng), random_coord(rng)], W)
+
+
 def test_each_read_off_fits_its_first_window(monkeypatch):
     # sew builds each read-off's chain once; its slack (the chain's window
     # less the top degree read) is at least 1 for a coordinate and 0 for
@@ -1021,11 +1029,7 @@ def test_each_read_off_fits_its_first_window(monkeypatch):
     rng = random.Random(3)
     e = ModuliPoint.unit(W)
     q1, q2, q3 = random_sk1(rng), random_sk2(rng), random_sk3(rng)
-    # infinity data with a body at indices 2 and 3, so hd has a long tail
-    # of negative powers that meets the window F1^{-1} leaves
-    deep = ModuliPoint(2, [(sc(4), z(7))],
-                       InfCoordData({2: sc(2), 3: sc(1)}, {3: z(2)}),
-                       [random_coord(rng), random_coord(rng)], W)
+    deep = deep_point(rng)
     left, right = two_sided_pair()
     cases = [(q2, 1, e), (q2, 2, e), (e, 1, q2), (q1, 1, e), (e, 1, q1),
              (q1, 1, q2), (q2, 2, q1), (q3, 2, q2), (left, 1, right),
@@ -1034,3 +1038,168 @@ def test_each_read_off_fits_its_first_window(monkeypatch):
         assert sew(qa, i, qb, degree_cap=2).n == qa.n + qb.n - 1
     # both bounds are reached; the deep point reaches its bound past wcap
     assert min(slacks["coord"]) == 1 and min(slacks["inf"]) == 0
+
+
+def _sew_reading_every_tube(Q1, i, Q2, degree_cap, trunc):
+    """``sew`` on marked points as it was before it learnt which tubes the
+    sewing leaves untouched: every surviving tube is read off through
+    s_q^{-1}, F^{-1}, s_center and e_hat, and the infinity datum through
+    ``_inf_chain``, whatever F is.  Kept as the reference."""
+    w = max(Q1.width, Q2.width)
+    m, n = Q1.n, Q2.n
+    d_i = Q1.coords[i - 1]
+    jall = max_index(*[(c.A, c.M) for c in Q1.coords + Q2.coords]
+                     + [(Q1.inf.A, Q1.inf.M), (Q2.inf.A, Q2.inf.M)]) or 1
+    idxcap = degree_cap * jall + jall + 1
+    wcap = idxcap + 3
+    psi, fbar1, f2_inv = solve_psi(d_i.asqrt, d_i.A, d_i.M, Q2.inf.A,
+                                   Q2.inf.M, degree_cap, trunc, w)
+    zero = GE.zero(w)
+    zi, thi = Q1.puncture(i)
+    f1_inv = exp_ns_map([(j2, -c) for j2, c in psi.items() if j2 < 0], w,
+                        trunc=trunc).then(SuperMap.shift_inverse(zi, thi))
+    p0 = psi.get(0, zero)
+    ai = d_i.asqrt.inverse(trunc)
+    tilde_plus = exp_ns_map([(j2, -c) for j2, c in psi.items() if j2 > 0], w,
+                            trunc=trunc)
+
+    def f1_eval(pt):
+        x, t = sewing._shift_pt((zi, thi), pt or (zero, zero))
+        return fbar1.eval_at(x, t, trunc=trunc)
+
+    def f2_eval(pt):
+        if pt is None:
+            return None
+        return tilde_plus.eval_at(ai * ai * ge_exp(2 * p0, trunc) * pt[0],
+                                  ai * ge_exp(p0, trunc) * pt[1], trunc=trunc)
+
+    tubes = [(Q1, k, f1_eval, f1_inv) for k in range(1, i)] + \
+        [(Q2, k, f2_eval, f2_inv) for k in range(1, n + 1)] + \
+        [(Q1, k, f1_eval, f1_inv) for k in range(i + 1, m + 1)]
+    centers = [Q.punctures[k - 1] if k < Q.n else None for Q, k, _e, _f
+               in tubes]
+    images = [f_eval(c) for (_Q, _k, f_eval, _f), c in zip(tubes, centers)]
+    hd = sewing._inf_map(Q1.inf, idxcap, trunc, w)
+    p = images[-1] if tubes else \
+        sewing._solve_center_normalization(hd, f1_inv, wcap, trunc, w)
+    coords = []
+    for (Q, k, _e, f_inv), c, q in zip(tubes, centers, images):
+        chain = SuperMap.identity(w) if q is None else \
+            SuperMap.shift_inverse(*q)
+        for f in (f_inv, None if c is None else SuperMap.shift(*c),
+                  e_hat(Q.coords[k - 1], trunc=trunc)):
+            if f is not None:
+                chain = chain.then(f, wcap=wcap, trunc=trunc)
+        coords.append(e_hat_inv(chain, order=idxcap, trunc=trunc))
+    low = min(hd.ev.support_min(), hd.od.support_min())
+    chain = sewing._inf_chain(p, f1_inv, hd, max(wcap, idxcap - low), trunc,
+                              w)
+    inf = sewing.e_inf_inv_flipped(chain, idxcap, trunc)
+    punct = [q if p is None else sewing._shift_pt(p, q or (zero, zero))
+             for q in images[:-1]]
+    return ModuliPoint(m + n - 1, punct, inf, coords, w, validate=False)
+
+
+def _assert_sew_matches_reference(qa, i, qb, cap):
+    """``sew`` and the read-every-tube reference agree on the marked points,
+    before the marker is set to 1, or raise the same error."""
+    trunc = ({"g": 1}, cap)
+    qa, qb = qa.mark("g"), qb.mark("g")
+    try:
+        want = _sew_reading_every_tube(qa, i, qb, cap, trunc)
+    except ValueError as err:
+        with pytest.raises(type(err)):
+            sew(qa, i, qb, cap, trunc=trunc, finalize=False)
+        return
+    assert sew(qa, i, qb, cap, trunc=trunc, finalize=False) == want, (qa, i,
+                                                                      qb)
+
+
+def closing_cap():
+    """The zero-tube point with no infinity data: closing a tube with it
+    leaves psi empty."""
+    return ModuliPoint(0, [], InfCoordData(), [], W)
+
+
+def test_sew_matches_reading_every_tube():
+    # sew reads off only what F1, F2 and the recentring move; the
+    # reference reads everything, on every shape of sewing
+    rng = random.Random(53)
+    e = ModuliPoint.unit(W)
+    cases = []
+    # the unit laws on both sides
+    for q in (random_sk1(rng), random_sk2(rng), random_sk3(rng)):
+        cases += [(q, k, e) for k in range(1, q.n + 1)] + [(e, 1, q)]
+    # the subgroup laws
+    A, M = {1: sc(1), 2: sc(-1)}, {1: z(1)}
+    for s, t in ((sc(2), sc(3)), (sc(1), sc(-1))):
+        cases.append((ModuliPoint.one_tube(InfCoordData(), CoordData(
+            GE.one(W), {j: t * v for j, v in A.items()},
+            {r: t * v for r, v in M.items()}), W), 1,
+            ModuliPoint.one_tube(InfCoordData(), CoordData(
+                GE.one(W), {j: s * v for j, v in A.items()},
+                {r: s * v for r, v in M.items()}), W)))
+        cases.append((ModuliPoint.one_tube(InfCoordData({1: s}, {3: s * z(2)}),
+                                           CoordData.identity(W), W), 1,
+                      ModuliPoint.one_tube(InfCoordData({1: t}, {3: t * z(2)}),
+                                           CoordData.identity(W), W)))
+    left, right = two_sided_pair()
+    cases += [(left, 1, right), (right, 1, left), (right, 2, left)]
+    # random 1-, 2- and 3-tube points into each other
+    q1, q2, q3 = random_sk1(rng), random_sk2(rng), random_sk3(rng)
+    qc = random_sk1_coord_only(rng)
+    cases += [(q1, 1, q2), (q2, 2, q1), (q3, 3, q1), (q2, 1, qc), (q3, 2, qc),
+              (qc, 1, q3)]
+    # only a scale on Q1's tube moves Q2's side (psi is empty)
+    for a in (sc(2), sc(-1), GE.one(W) + z(1) * z(2)):
+        scaled = ModuliPoint.one_tube(InfCoordData(), CoordData(a), W)
+        cases += [(scaled, 1, random_sk2(rng)),
+                  (scaled, 1, ModuliPoint(2, [(sc(3), z(5))], InfCoordData(),
+                                          [random_coord(rng),
+                                           random_coord(rng)], W))]
+    # zero-tube sewings: the recentring that kills the first entries, and a
+    # last tube that is not pinned in its own sphere
+    for q0 in (zero_tube_point(), closing_cap()):
+        q2 = random_sk2(rng)
+        cases += [(e, 1, q0), (random_sk1(rng), 1, q0), (q2, 1, q0),
+                  (q2, 2, q0), (std2(sc(3), z(7)), 2, q0)]
+    for qa, i, qb in cases:
+        _assert_sew_matches_reference(qa, i, qb, 2)
+    # the bodyful index-2/3 infinity data of the window test
+    deep = deep_point(random.Random(59))
+    _assert_sew_matches_reference(deep, 1, zero_tube_point(), 2)
+    _assert_sew_matches_reference(deep, 2, random_sk1_coord_only(rng), 2)
+
+
+def test_sew_reads_off_only_what_moved(monkeypatch):
+    calls = {"e_hat_inv": 0, "e_inf_inv_flipped": 0, "inf_exp_map": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(sewing, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(sewing, name, counted)
+
+    def count(qa, i, qb):
+        for name in calls:
+            calls[name] = 0
+        sew(qa, i, qb, degree_cap=2)
+        return calls["e_hat_inv"], calls["e_inf_inv_flipped"], \
+            calls["inf_exp_map"]
+    rng = random.Random(61)
+    e = ModuliPoint.unit(W)
+    q2 = ModuliPoint(2, [(sc(3) + z(5) * z(6), z(7))], InfCoordData(),
+                     [random_coord(rng), random_coord(rng)], W)
+    # psi is empty and the unit's scale is 1: nothing moves
+    assert count(e, 1, q2) == (0, 0, 0)
+    # Q1's tube 1 and infinity datum stay; the unit's tube takes F2
+    assert count(q2, 2, e) == (1, 0, 0)
+    # Q2's infinity data gives psi_-: Q1's tubes 1 and 3 and its infinity
+    # datum are read, Q2's tube (F2 the identity) is not
+    q3 = random_sk3(rng)
+    q3 = ModuliPoint(3, q3.punctures, q3.inf,
+                     [q3.coords[0], CoordData.identity(W), q3.coords[2]], W)
+    qi = ModuliPoint.one_tube(InfCoordData({2: sc(1)}, {3: z(2)}),
+                              random_coord(rng), W)
+    assert count(q3, 2, qi) == (2, 1, 1)
+    # a zero-tube sewing reads its recentring and its infinity datum
+    assert count(e, 1, closing_cap()) == (0, 2, 1)
