@@ -221,7 +221,7 @@ def inf_exp_map(A0, M0, trunc, width=0, xfloor=None):
                       xfloor=xfloor)
 
 
-def e_inf_inv(H, idxcap, trunc, check=True):
+def e_inf_inv(H, idxcap, trunc):
     """Recover (A0, M0) from a negative-index exponential map.
 
     H must be of the shape exp(sum(A0_j L_{-j} + M0_{j-1/2} G_{-j+1/2}))(x,phi)
@@ -230,17 +230,16 @@ def e_inf_inv(H, idxcap, trunc, check=True):
     even component, for j = 1..idxcap, with the weights running downward;
     the slices it builds are exact at every degree read, so no lower window
     is needed.  The highest degree read is x^0, so H must be exact through
-    it (else WindowError).  With ``check`` the phi-parts at x^0 .. x^(1-idxcap),
-    which the read-off does not use, must match those slices too
-    (``_check_phi_parts``, else ValueError).
+    it (else WindowError).  The phi-parts at x^0 .. x^(1-idxcap), which the
+    read-off does not use, must match those slices too (``_check_phi_parts``,
+    else ValueError).
     """
     for comp in (H.ev, H.od):
         comp.require_window(0)
     res, sl = _read_off(H, range(-1, -2 * idxcap - 1, -1), trunc)
     A0 = {-s // 2: -v for s, v in res.items() if s % 2 == 0}
     M0 = {-s: -v for s, v in res.items() if s % 2}
-    if check:
-        _check_phi_parts(H, sl, range(0, -idxcap, -1), trunc)
+    _check_phi_parts(H, sl, range(0, -idxcap, -1), trunc)
     return InfCoordData(A0, M0)
 
 

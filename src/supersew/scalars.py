@@ -188,8 +188,3 @@ class GQ:
         if z is None:
             raise TypeError("cannot lift %r to a Gaussian rational" % (x,))
         return z
-
-
-ZERO = GQ(0)
-ONE = GQ(1)
-I = GQ(0, 1)

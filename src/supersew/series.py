@@ -18,7 +18,10 @@ negative powers expanded in positive powers of the perturbation around an
 invertible leading monomial.  The substitution builds each power and each
 product of substituted values once, for all terms of the outer series that
 share it; composing with a map whose tables are (x, phi) forms no product
-at all.
+at all.  Given an x-window or a graded cap, a composition cuts every partial
+product at the cap plus the most the factors still to come can lower it,
+negative powers included, and claims the window on which each term's
+product of substituted factors is exact.
 """
 
 from bisect import bisect_left
@@ -84,11 +87,6 @@ class SuperSeries:
             return None
         return min(self.xexp(k) for k in self.el.t)
 
-    def support_max(self):
-        if not self.el.t:
-            return None
-        return max(self.xexp(k) for k in self.el.t)
-
     def coeff_x(self, n):
         """Full coefficient of x**n (may still involve the odd variable)."""
         t = {}
@@ -127,16 +125,16 @@ class SuperSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def bounds(self):
+        """(nmax, lowest): the window, and a lower bound of the x-degrees
+        that holds past the window too, the least degree held or else the
+        first one past the window (None for the exact zero)."""
+        lo = self.support_min()
+        return self.nmax, (self.nmax + 1 if lo is None and self.nmax
+                           is not None else lo)
+
     def __mul__(self, other):
-        nm = None
-        if self.nmax is not None:
-            o_min = other.support_min()
-            nm = None if o_min is None else self.nmax + o_min
-        nm2 = None
-        if other.nmax is not None:
-            s_min = self.support_min()
-            nm2 = None if s_min is None else other.nmax + s_min
-        nm = _min_none(nm, nm2)
+        nm = _product_window(self.bounds(), other.bounds())[0]
         return SuperSeries(self.el.mul(other.el, None if nm is None
                                        else ({XVAR: 1}, nm)), nm)
 
@@ -406,48 +404,36 @@ class SuperMap:
     def compose_series(self, h, wcap=None, trunc=None):
         """h o self: substitute this map into a single SuperSeries h.
 
-        When the tables of this map are exactly (x, phi), h o self = h, so h
-        cut by ``trunc`` and then at ``wcap`` is returned without forming a
-        product, also when the map has a window.  Its window is the
-        substitution's own bound, ``_compose_window(h, ev, od, None)``
-        (h's window for the exact identity), narrowed where ``truncate_x``
-        drops a term: sound, and never narrower than the general path's."""
+        Every partial product is cut at ``wcap`` and at ``trunc``'s cap, each
+        plus its ``_cut_margin``, and the result at the caps themselves; its
+        window is ``_compose_window``, at most ``wcap``.  When the tables of
+        this map are exactly (x, phi), h o self = h: h cut by ``trunc`` and
+        at ``wcap`` is returned without forming a product, with the same
+        window narrowed only where ``truncate_x`` drops a term."""
         ev, od = self.ev, self.od
         if ev.el.t == _X_TABLE and od.el.t == _PHI_TABLE:
             el = h.el if trunc is None else h.el.truncate(*trunc)
+            # 1/x is x^-1, known two degrees below the window of x
+            inv = SuperSeries(GE.evar(XVAR, -1, ev.width),
+                              None if ev.nmax is None else ev.nmax - 2)
             out = SuperSeries(GE(h.el._join_width(ev.el), el.t),
-                              _compose_window(h, ev, od, None))
+                              _compose_window(h, ev, od, inv))
             return out if wcap is None else out.truncate_x(wcap)
         if h.nmax is not None and (ev.support_min() or 0) < 1:
             raise WindowError("windowed series can only be composed with "
                               "maps vanishing at the origin")
-        inv = None
-        inv_exact = True
-        if h.support_min() is not None and h.support_min() < 0:
-            margin = abs(h.support_min()) + 1
-            inv, inv_exact = _series_inverse_el(ev, wcap=wcap, trunc=trunc,
-                                                margin=margin)
-        substituted = [ev.el, od.el] + ([] if inv is None else [inv])
-        truncs = []
-        x_cut = wcap is not None and _cuts_sound(h, {XVAR: 1}, substituted)
-        if x_cut:
-            truncs.append(({XVAR: 1}, wcap))
-        if trunc is not None and _cuts_sound(h, trunc[0], substituted):
-            truncs.append(trunc)
+        inv = _series_inverse_el(ev, wcap, trunc, -h.support_min()) \
+            if (h.support_min() or 0) < 0 else None
+        cuts = ([] if wcap is None else [({XVAR: 1}, wcap)]) + \
+            ([] if trunc is None else [trunc])
         el = h.el.subs({XVAR: ev.el, PHI: od.el},
-                       inverses=None if inv is None else {XVAR: inv},
-                       truncs=truncs or None)
+                       inverses=None if inv is None else {XVAR: inv.el},
+                       truncs=[(w, cap + _cut_margin(h, w, ev, od, inv))
+                               for w, cap in cuts] or None)
         if trunc is not None:
             el = el.truncate(*trunc)
-        nmax = _compose_window(h, ev, od, wcap if not inv_exact else None)
-        if x_cut:
-            # the terms above wcap were never formed, so the cut to wcap
-            # below cannot see that it drops any
-            nmax = _min_none(nmax, wcap)
-        out = SuperSeries(el, nmax)
-        if wcap is not None:
-            out = out.truncate_x(wcap)
-        return out
+        return SuperSeries(el, _min_none(_compose_window(h, ev, od, inv),
+                                         wcap))
 
     def then(self, outer, wcap=None, trunc=None):
         """outer o self as maps (apply self first)."""
@@ -521,15 +507,17 @@ class SuperMap:
         return k
 
 
-def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
-    """1 / (even component), expanded in positive powers of the perturbation
-    around an invertible leading monomial.
+def _series_inverse_el(ev, wcap=None, trunc=None, npow=1):
+    """1 / (even component) as a windowed series, expanded in positive
+    powers of the perturbation around an invertible leading monomial.
 
     The leading monomial is found in the truncation-degree-zero part when a
     graded truncation is given (graded corrections may sit at lower x-degree
-    than the honest leading term), else in the whole element.  ``margin``
-    widens the pruning window so that powers of the inverse taken later stay
-    exact through the requested cap.
+    than the honest leading term), else in the whole element.  Each power of
+    the perturbation delta is pruned past an x-degree that keeps the powers
+    up to ``npow`` of the inverse exact through ``wcap``.  The window is
+    that of sum (-delta)^k by the product rule, narrowed to the pruning
+    degree where the pruning dropped a term, then moved by x^-m.
     """
     el = ev.el
     if not el.t:
@@ -540,28 +528,31 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     if m is None:
         raise NotInvertible("no truncation-degree-zero leading part")
     ci = lead.coeff_x(m).inverse(trunc)
-    delta = ci * (GE.evar(XVAR, -m, w) * el) - GE.one(w)
-    if not delta:
-        return GE.evar(XVAR, -m, w) * ci, True
-    delta_min = SuperSeries(delta).support_min()
+    delta = SuperSeries(ci * (GE.evar(XVAR, -m, w) * el) - GE.one(w),
+                        None if ev.nmax is None else ev.nmax - m)
+    if not delta.el:
+        # the powers of delta start past its window
+        return SuperSeries(GE.evar(XVAR, -m, w) * ci,
+                           None if delta.nmax is None else delta.nmax - m)
     # x-pruning is sound as long as no power of delta can lower the degree
-    prune_x = wcap is not None and delta_min >= 0
+    prune_x = wcap is not None and delta.support_min() >= 0
     if not prune_x and trunc is None:
         raise WindowError("inverse of a non-monomial even component requires "
                           "a window cap or graded truncation")
-    bound = wcap + abs(m) * (margin + 1) + 1 if wcap is not None else 0
-    acc = GE.one(w)
-    term = GE.one(w)
+    bound = wcap + abs(m) * (npow + 2) + 1 if wcap is not None else 0
+    acc = term = GE.one(w)
+    power = (None, 0)  # (window, lowest degree) of the last power of delta
+    nmax = None
     cap_iter = (bound if prune_x else 0) + \
         ((trunc[1] + 2) if trunc is not None else 0) + 40
-    xw = {XVAR: 1}
-    pruned = False
     for _ in range(cap_iter):
-        term = -term.mul(delta, trunc)
+        term = -term.mul(delta.el, trunc)
+        power = _product_window(power, delta.bounds())
+        nmax = _min_none(nmax, power[0])
         if prune_x:
-            cut = term.truncate(xw, bound)
+            cut = term.truncate({XVAR: 1}, bound)
             if cut.t != term.t:
-                pruned = True
+                nmax = _min_none(nmax, bound)
             term = cut
         if not term:
             break
@@ -569,61 +560,59 @@ def _series_inverse_el(ev, wcap=None, trunc=None, margin=1):
     else:
         if term:
             raise WindowError("series inversion did not terminate under caps")
-    return GE.evar(XVAR, -m, w) * (acc * ci), not pruned
+    return SuperSeries(GE.evar(XVAR, -m, w) * (acc * ci),
+                       None if nmax is None else nmax - m)
 
 
-def _cuts_sound(h, weights, substituted):
-    """True when ``h.el.subs`` may cut its partial products at a weighted
-    degree: every element substituted in has no term of negative weight, nor
-    has the part of any term of h that subs multiplies in unchanged (its
-    other even powers together, and each other odd generator).  A partial
-    product above the cap then stays above it, so the final cut keeps the
-    same terms.  With weights {XVAR: 1} this is the x-window: it may be cut
-    early only when no substituted element has a negative power of x."""
-    for el in substituted:
-        lo = el.wdegree_min(weights)
-        if lo is not None and lo < 0:
-            return False
+def _product_window(a, b):
+    """The ``bounds`` (nmax, lowest) of a product of two series from
+    theirs.  A term past a's window times any term of b lands above
+    a.nmax + b.lowest, so a*b is exact through min(a.nmax + b.lowest,
+    b.nmax + a.lowest); the product of an exact zero is the exact zero."""
+    (an, al), (bn, bl) = a, b
+    if al is None or bl is None:
+        return None, None
+    return _min_none(None if an is None else an + bl,
+                     None if bn is None else bn + al), al + bl
+
+
+def _cut_margin(h, weights, ev, od, inv):
+    """The most that the factors still to come can lower the weighted
+    degree of a partial product in ``h.el.subs``.  With lo(s) = min(0, least
+    weight of s), a term x^e phi^eps of h with kept part k multiplies
+    e factors ev (or -e factors inv), eps factors od and then k, so it
+    lowers a partial product by at most -(e lo(ev) or -e lo(inv)) - eps
+    lo(od) - min(0, weight of k).  A term dropped past cap + margin thus
+    ends past cap, where the final cut drops it anyway (Brent & Kung,
+    J. ACM 25, 1978)."""
+    def lo(s):
+        return 0 if s is None else min(0, s.el.wdegree_min(weights) or 0)
+    lo_ev, lo_od, lo_inv = lo(ev), lo(od), lo(inv)
+    margin = 0
     for evens, odds in h.el.t:
-        if key_weight((_split_x(evens)[1], ()), weights) < 0:
-            return False
-        if any(key_weight(((), (o,)), weights) < 0
-               for o in odds if o != PHI):
-            return False
-    return True
+        e, rest = _split_x(evens)
+        kept = key_weight((rest, tuple(o for o in odds if o != PHI)), weights)
+        low = (e * lo_ev if e > 0 else -e * lo_inv) + \
+            (lo_od if PHI in odds else 0) + min(0, kept)
+        margin = max(margin, -low)
+    return margin
 
 
-def _compose_window(h, ev, od, wcap):
-    """Sound exactness bound for h o (ev, od).  A term x^e phi^eps of h with
-    e >= 1 and e + eps >= 2 raises WindowError when the map has a window and
-    a negative power of x: its product reads a factor above that window."""
-    m = ev.support_min()
-    if (ev.nmax is not None or od.nmax is not None) and \
-            min(m or 0, od.support_min() or 0) < 0 and \
-            any(h.xexp(k) >= 1 and h.xexp(k) + (PHI in k[1]) >= 2
-                for k in h.el.t):
-        raise WindowError("windowed map with a negative power substituted "
-                          "into a product")
-    if m is None:
-        m = 1
-    limits = []
+def _compose_window(h, ev, od, inv):
+    """The window of h o (ev, od), with inv the inverse of ev when h has a
+    negative power.  A term x^e phi^eps of h becomes ev^e (inv^-e for e < 0)
+    times od^eps, exact through the window that ``_product_window`` gives
+    that product.  A term x^n phi^eps past h's own window lands at degree
+    >= n lowest(ev) + min(0, lowest(od)), with lowest(ev) >= 1 here."""
+    windows = []
     if h.nmax is not None:
-        limits.append((h.nmax + 1) * max(m, 1) - 1)
-    l_min = h.support_min()
-    if ev.nmax is not None:
-        l0 = 1 if l_min is None else min(l_min, 1)
-        limits.append(ev.nmax + (l0 - 1) * max(m, 1))
-    if od.nmax is not None:
-        l0 = 0 if l_min is None else min(l_min, 0)
-        limits.append(od.nmax + l0 * max(m, 1))
-    if wcap is not None:
-        limits.append(wcap)
-    if not limits:
-        neg = h.support_min() is not None and h.support_min() < 0
-        nontrivial = ev.support_max() is not None and \
-            (ev.support_max() > m or len(ev.el.t) > 1)
-        if neg and nontrivial:
-            # expansion of negative powers was capped by wcap/trunc only
-            return None if wcap is None else wcap
-        return None
-    return min(limits)
+        windows.append((h.nmax + 1) * ev.bounds()[1]
+                       + min(0, od.bounds()[1] or 0) - 1)
+    for e, eps in {(h.xexp(k), PHI in k[1]) for k in h.el.t}:
+        win = (None, 0)
+        for _ in range(abs(e)):
+            win = _product_window(win, (ev if e > 0 else inv).bounds())
+        if eps:
+            win = _product_window(win, od.bounds())
+        windows.append(win[0])
+    return _min_none(*windows)

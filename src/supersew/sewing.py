@@ -9,13 +9,14 @@ variables, and there is one path for it.  Mark: ``scale_marker`` (through
 variable ("g" for sewing and the S_n action, "u" and "v" for the two sides
 of the sewing factorization).  Cut: every product is truncated at a total
 degree in the variables, the ``trunc`` pair (weights, cap) passed down the
-stack; a map composition whose substituted series carry no negative power of
-x is also cut at its x-window ``wcap``.  Both cuts go into the product
-(``GrassmannElement.mul``), so no term past either is formed.  Unmark:
-``subs`` sets the variables back to 1.  Every series computed here is then a
-finite Laurent polynomial, except for expansions of powers of
-(w + invertible), which carry an explicit exactness window in the series
-variable.
+stack, and every map composition also at its x-window ``wcap``; a
+composition cuts each partial product at a cap plus the most the factors
+still to come can lower it, so negative powers of x need no other path.
+The cuts go into the product (``GrassmannElement.mul``), so no term past
+them is formed.  Unmark: ``subs`` sets the variables back to 1.  Every
+series computed here is then a finite Laurent polynomial, and a composition
+cut at ``wcap`` carries the window it is exact on, as do expansions of
+powers of (w + invertible).
 
 What a sewing moves: a tube's datum changes only through the map on its own
 side, and ``sew`` reads off only what a map moves.  Q1's tubes stay when psi
@@ -230,13 +231,12 @@ def solve_gamma(asqrt, A, M, B, N, degree_cap):
 
 # -- the sewing operation -----------------------------------------------------
 
-def e_inf_inv_flipped(Hf, idxcap, trunc, check=True):
+def e_inf_inv_flipped(Hf, idxcap, trunc):
     """Read infinity data from a composite expressed in the reciprocal
     variable (entry j sits at y^(j-1))."""
     Hf.ev.require_window(idxcap - 1)
     Hf.od.require_window(idxcap - 1)
-    return e_inf_inv(SuperMap(Hf.ev.flip_x(), Hf.od.flip_x()), idxcap, trunc,
-                     check)
+    return e_inf_inv(SuperMap(Hf.ev.flip_x(), Hf.od.flip_x()), idxcap, trunc)
 
 
 def _inf_map(inf, idxcap, trunc, w):
@@ -299,12 +299,6 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                      + [(Q1.inf.A, Q1.inf.M), (Q2.inf.A, Q2.inf.M)]) or 1
     if idxcap is None:
         idxcap = degree_cap * jall + jall + 1
-    # Each read-off builds its chain once; a window too narrow raises
-    # WindowError.  The chain s_p^{-1}, F^{-1}, s_center, e_hat(coord) loses
-    # a degree at the centre shift's constant term and one in e_hat's odd
-    # part: slack >= 1 at order idxcap.  The infinity chain loses 1 - l at
-    # hd, l <= 0 its lowest power of x: slack >= 0 on max(wcap, idxcap - l).
-    wcap = idxcap + 3
 
     psi, fbar1, f2_inv = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M,
                                    degree_cap, trunc, w)
@@ -334,20 +328,22 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         return tilde_plus.eval_at(a2i * (e2p0 * pt[0]), ai * (ep0 * pt[1]),
                                   trunc=trunc)
 
+    # each read-off builds its chain once, cut at the top degree it reads;
+    # a window too narrow raises WindowError
     def coord_at(coord, center, f_inv, p):
         """Data of coord-composite shifted to vanish at its new puncture."""
         chain = SuperMap.identity(w) if p is None else \
             SuperMap.shift_inverse(p[0], p[1])
-        chain = chain.then(f_inv, wcap=wcap, trunc=trunc)
+        chain = chain.then(f_inv, wcap=idxcap, trunc=trunc)
         if center is not None:
             chain = chain.then(SuperMap.shift(center[0], center[1]),
-                               wcap=wcap, trunc=trunc)
-        chain = chain.then(e_hat(coord, trunc=trunc), wcap=wcap, trunc=trunc)
+                               wcap=idxcap, trunc=trunc)
+        chain = chain.then(e_hat(coord, trunc=trunc), wcap=idxcap,
+                           trunc=trunc)
         return e_hat_inv(chain, order=idxcap, trunc=trunc)
 
     def inf_at(p):
-        low = min(hd.ev.support_min(), hd.od.support_min())
-        chain = _inf_chain(p, f1_inv, hd, max(wcap, idxcap - low), trunc, w)
+        chain = _inf_chain(p, f1_inv, hd, idxcap, trunc, w)
         return e_inf_inv_flipped(chain, idxcap, trunc)
 
     # F1 is s_(z_i, theta_i) without psi_-, and F2 the identity without
@@ -372,7 +368,7 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     hd = _inf_map(Q1.inf, idxcap, trunc, w) if inf_moved else None
     # recenter so that the last tube sits at 0
     p = images[-1] if tubes else \
-        _solve_center_normalization(hd, f1_inv, wcap, trunc, w)
+        _solve_center_normalization(hd, f1_inv, idxcap, trunc, w)
     new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
                  for q in images[:-1]]
     # undoing the shift to the new puncture and then the recentering undoes
@@ -405,7 +401,7 @@ def _solve_center_normalization(hd, f1_inv, wcap, trunc, w):
     p changes them by -p plus a multiple of M_{1/2} p_1, which vanishes at
     p = (A_1, M_{1/2}) since M_{1/2} M_{1/2} = 0."""
     chain = _inf_chain(None, f1_inv, hd, wcap, trunc, w)
-    got = e_inf_inv_flipped(chain, 1, trunc, check=False)
+    got = e_inf_inv_flipped(chain, 1, trunc)
     return got.A.get(1, GE.zero(w)), got.M.get(1, GE.zero(w))
 
 
@@ -443,8 +439,8 @@ def sn_act(sigma, Q, cap, idxcap=None, trunc=None, finalize=True):
                  else _shift_pt(p, q) for k, q in enumerate(punct)]
         if idxcap is None:
             idxcap = (cap + 1) * (max_index((inf.A, inf.M)) or 1) + 1
-        chain = _inf_chain(p, None, _inf_map(inf, idxcap, trunc, w),
-                           idxcap + 3, trunc, w)
+        chain = _inf_chain(p, None, _inf_map(inf, idxcap, trunc, w), idxcap,
+                           trunc, w)
         inf = e_inf_inv_flipped(chain, idxcap, trunc)
     # old position of the tube at each new position
     order = sorted(range(n), key=lambda k: sigma[k])

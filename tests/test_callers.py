@@ -8,6 +8,9 @@ attributes, import aliases and string constants), so a docstring or a
 comment that mentions a name does not count; string constants do, because
 the tracer names some methods only as strings.
 
+A module-level constant (a name bound by an assignment at the top of a
+module) counts as read in the same way, and none may go unread.
+
 A mention cannot tell which of two same-named definitions it calls, so a
 name defined more than once counts for all of them.  ``SHARED`` therefore
 names every definition of such a name with its caller.
@@ -42,6 +45,8 @@ KNOBS = {
     "basis_vector.coeff": "the tests build scaled basis vectors with it",
     "is_superconformal.trunc": "the tests check graded maps with it",
     "VermaModule.h": "the tests build modules of nonzero highest weight",
+    "GQ.im": "the tests build Gaussian values with it; its one src setter "
+             "was the unread constant I",
 }
 
 # Every definition of each name defined more than once, with its caller.
@@ -130,9 +135,10 @@ def _mentions(tree):
             yield node.value, node.lineno
 
 
-def uncalled_definitions():
-    """{name: 'file:line'} of the src definitions whose name appears nowhere
-    outside their own span."""
+def _unmentioned(spans):
+    """{name: 'file:line'} of the src names that appear nowhere outside
+    their own span; ``spans(tree, path)`` yields (name, first line, last
+    line) for each name a src module binds."""
     trees = {p: ast.parse(p.read_text(), str(p)) for p in _sources()}
     mentions = {}
     for path, tree in trees.items():
@@ -143,11 +149,18 @@ def uncalled_definitions():
     for path, tree in trees.items():
         if path.parent != src:
             continue
-        for name, _qual, lo, hi in _definitions(tree, path.stem):
+        for name, lo, hi in spans(tree, path):
             if not any(p != path or not lo <= line <= hi
                        for p, line in mentions.get(name, ())):
                 out[name] = "%s:%d" % (path.relative_to(ROOT), lo)
     return out
+
+
+def uncalled_definitions():
+    """{name: 'file:line'} of the src definitions whose name appears nowhere
+    outside their own span."""
+    return _unmentioned(lambda tree, path: (
+        (name, lo, hi) for name, _q, lo, hi in _definitions(tree, path.stem)))
 
 
 def test_every_src_definition_has_a_caller():
@@ -157,6 +170,30 @@ def test_every_src_definition_has_a_caller():
     # a name that gained a caller, or was deleted, leaves the allowlist
     stale = set(ALLOWED) - set(flagged)
     assert not stale, "allowlisted but called or gone: %r" % sorted(stale)
+
+
+def _constants(tree):
+    """(name, first line, last line) of every non-dunder name bound by a
+    module-level assignment."""
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and \
+                        not name.id.startswith("__"):
+                    yield name.id, node.lineno, node.end_lineno
+
+
+def unread_constants():
+    """{name: 'file:line'} of the src module-level constants whose name
+    appears nowhere outside their own assignment."""
+    return _unmentioned(lambda tree, _path: _constants(tree))
+
+
+def test_every_src_constant_is_read():
+    unread = unread_constants()
+    assert not unread, "constants nothing reads: %r" % unread
 
 
 def test_every_definition_of_a_shared_name_is_named():

@@ -141,9 +141,8 @@ def test_e_inf_inv_past_upper_window_raises_window_error():
     v = GE.evar("v", 1, W)
     H = inf_exp_map({1: v, 2: 2 * v}, {3: v * z(2)}, trunc,
                     width=W).truncate_x(-1)
-    for check in (True, False):
-        with pytest.raises(WindowError):
-            e_inf_inv(H, idxcap=9, trunc=trunc, check=check)
+    with pytest.raises(WindowError):
+        e_inf_inv(H, idxcap=9, trunc=trunc)
 
 
 # -- the per-degree read-offs that rebuild the exponential at every degree,
@@ -250,7 +249,8 @@ def test_e_inf_inv_shape_check_reads_phi_parts():
     bad = SuperMap(hd.ev + stray, hd.od)
     with pytest.raises(ValueError):
         e_inf_inv(bad, idxcap=4, trunc=trunc)
-    assert e_inf_inv(bad, idxcap=4, trunc=trunc, check=False) == \
+    # the same map without the stray phi-part passes the check
+    assert e_inf_inv(hd, idxcap=4, trunc=trunc) == \
         InfCoordData({1: v}, {3: v * z(2)})
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from supersew.scalars import GQ
-from supersew.grassmann import GrassmannElement as GE, key_weight
+from supersew.grassmann import (GrassmannElement as GE, NotInvertible,
+                                key_weight)
 from supersew.series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
                              _series_inverse_el, apply_ns_terms,
                              exp_ns_terms)
@@ -368,10 +369,14 @@ def _record_subs_truncs(monkeypatch):
     return seen
 
 
+# a cut margin past every degree the substitution reaches: no product is cut
+UNCUT = 10 ** 6
+
+
 def _uncut(monkeypatch, m, h, trunc):
     from supersew import series
     with monkeypatch.context() as mp:
-        mp.setattr(series, "_cuts_sound", lambda *args: False)
+        mp.setattr(series, "_cut_margin", lambda *args: UNCUT)
         return m.compose_series(h, trunc=trunc)
 
 
@@ -396,24 +401,24 @@ def test_compose_series_graded_cut_matches_uncut_expansion(monkeypatch):
     assert got.el == full
 
 
-def test_compose_series_negative_weight_takes_uncut_path(monkeypatch):
+def test_compose_series_negative_weight_widens_the_cut(monkeypatch):
     u = GE.evar("u", 1, W)
     uinv = GE.evar("u", -1, W)
     trunc = ({"u": 1}, 2)
     cases = [
-        # a term of h of negative weight
+        # a term of h of negative weight: its kept part lowers by 1
         (SuperMap(S({1: 1, 2: u * z(1) * z(2)}), S({}, {0: 1, 1: u})),
-         S({1: 1, 2: uinv * z(3) * z(4), 3: u})),
-        # a term of the inner map of negative weight
+         S({1: 1, 2: uinv * z(3) * z(4), 3: u}), 1),
+        # a term of the inner map of negative weight: x^3 takes it 3 times
         (SuperMap(S({1: 1, 2: uinv * z(1) * z(2)}), S({}, {0: 1, 1: u})),
-         S({1: 2, 2: u, 3: u * u}, {0: 1})),
+         S({1: 2, 2: u, 3: u * u}, {0: 1}), 3),
     ]
-    for m, h in cases:
+    for m, h, margin in cases:
         want = _uncut(monkeypatch, m, h, trunc)
         with monkeypatch.context() as mp:
             seen = _record_subs_truncs(mp)
             got = m.compose_series(h, trunc=trunc)
-        assert seen == [None]
+        assert seen == [[({"u": 1}, 2 + margin)]]
         assert got.el == want.el
         assert got.el.wdegree_min({"u": 1}) == -1
 
@@ -499,8 +504,9 @@ def test_series_inverse_leading_step_matches_dict_reference():
         el = c * GE.evar(XVAR, m, W) + corr
         m_ref, c_ref = leading_by_dict(el.truncate(trunc[0], 0))
         assert (m_ref, c_ref) == (m, c)
-        inv, exact = _series_inverse_el(SuperSeries(el), trunc=trunc)
-        assert exact
+        inv = _series_inverse_el(SuperSeries(el), trunc=trunc)
+        assert inv.nmax is None
+        inv = inv.el
         assert (inv * el).truncate(*trunc) == GE.one(W)
         assert inv.truncate(trunc[0], 0) == \
             GE.evar(XVAR, -m_ref, W) * c_ref.inverse(trunc)
@@ -508,9 +514,16 @@ def test_series_inverse_leading_step_matches_dict_reference():
 
 def product_by_prune(a, b):
     """A product of series as the whole product of the tables, pruned at the
-    product's window: the reference for the cut product."""
-    nms = [s.nmax + o.support_min() for s, o in ((a, b), (b, a))
-           if s.nmax is not None and o.support_min() is not None]
+    product's window: the reference for the cut product.  A windowed factor
+    that holds no term starts past its window; an exact zero makes the
+    product exactly zero."""
+    def lowest(s):
+        lo = s.support_min()
+        return s.nmax + 1 if lo is None and s.nmax is not None else lo
+    if lowest(a) is None or lowest(b) is None:
+        return SuperSeries(a.el * b.el)
+    nms = [s.nmax + lowest(o) for s, o in ((a, b), (b, a))
+           if s.nmax is not None]
     return SuperSeries(a.el * b.el, min(nms) if nms else None)
 
 
@@ -534,25 +547,25 @@ def test_x_cut_composition_keeps_window():
     assert got == S({2: 1}, nmax=2)
 
 
-def test_windowed_map_with_negative_power_refuses_a_product():
+def test_windowed_map_with_negative_power_narrows_a_product():
     # (x + g/x)^2 has no x^5 term, but once x^6 enters the inner map its
-    # x^5 coefficient is 2g: a window through x^5 cannot be claimed
+    # x^5 coefficient is 2g: x^2 is known through x^4 only, the product
+    # rule's 5 + (-1); x phi takes one factor of each, through x^5
     g = GE.evar("g", 1, W)
     ph = S({}, {0: 1})
-    longer = SuperMap(S({1: 1, -1: g, 6: 1}), ph).compose_series(S({2: 1}))
-    assert longer.f_coeff(5) == 2 * g
     m = SuperMap(S({1: 1, -1: g}, nmax=5), ph)
-    for h in (S({2: 1}), S({}, {1: 1})):
-        with pytest.raises(WindowError):
-            m.compose_series(h)
-    # x and phi alone read each factor once
-    assert m.compose_series(S({1: 1})).nmax == 5
+    longer = SuperMap(S({1: 1, -1: g, 6: 1}), ph)
+    assert longer.compose_series(S({2: 1})).f_coeff(5) == 2 * g
+    for h, nmax in ((S({2: 1}), 4), (S({}, {1: 1}), 5), (S({1: 1}), 5)):
+        got = m.compose_series(h)
+        assert got.nmax == nmax
+        assert got.el == longer.compose_series(h).truncate_x(nmax).el
     assert m.compose_series(ph).el == ph.el
 
 def _compose_uncut(monkeypatch, m, h, wcap, trunc):
     from supersew import series
     with monkeypatch.context() as mp:
-        mp.setattr(series, "_cuts_sound", lambda *args: False)
+        mp.setattr(series, "_cut_margin", lambda *args: UNCUT, raising=False)
         return m.compose_series(h, wcap=wcap, trunc=trunc)
 
 
@@ -596,20 +609,19 @@ def test_compose_series_x_cut_matches_uncut(monkeypatch):
         assert ({XVAR: 1}, wcap) in seen[0]
         assert got.el == want.el
         # the cut cannot see whether it dropped a term above wcap
-        assert got.nmax == (wcap if want.nmax is None else want.nmax)
-    # nothing above wcap: the uncut result is exact, the cut one known
-    # through wcap, which is narrower and sound
+        assert got.nmax == want.nmax <= wcap
+    # nothing above wcap, yet the result is known through wcap only
     m = SuperMap(S({1: 2}), S({}, {0: 1}))
     h = S({1: 1}, {0: 1})
-    assert _compose_uncut(monkeypatch, m, h, 4, None).nmax is None
     assert m.compose_series(h, wcap=4) == S({1: 2}, {0: 1}, nmax=4)
-    # 1/(x + x^2) = x^-1 (1 - x + ...) has a negative power of x
+    # 1/(x + x^2) = x^-1 (1 - x + ...) has a negative power of x, and x^-2
+    # takes it twice: each partial product is cut at wcap + 2
     m = SuperMap(S({1: 1, 2: 1}), S({}, {0: 1}))
     h = S({-2: 1, 1: 3})
     want = _compose_uncut(monkeypatch, m, h, 5, None)
     seen = _record_subs_truncs(monkeypatch)
     got = m.compose_series(h, wcap=5)
-    assert seen == [None]
+    assert seen == [[({XVAR: 1}, 7)]]
     assert got == want
 
 
@@ -685,3 +697,82 @@ def test_compose_with_windowed_identity_matches_general_path(monkeypatch):
                         case = (ne, no, nmin, nmax, wcap, trunc)
                         assert got.el == want.el, case
                         assert got.nmax == want.nmax, case
+
+
+def _extended(rng, s, odd, mark=1):
+    """s made exact: random terms x^n and phi x^n for the three degrees n
+    past its window, times ``mark``, parity kept (odd coefficients on the
+    even-parity slot of an odd series, and on the phi slot of an even
+    one)."""
+    if s.nmax is None:
+        return s
+    f = {n: mark * _small(rng) * (z(6) if odd else 1)
+         for n in range(s.nmax + 1, s.nmax + 4)}
+    g = {n: mark * _small(rng) * (1 if odd else z(5))
+         for n in range(s.nmax + 1, s.nmax + 4)}
+    return SuperSeries(s.el + S(f, g).el)
+
+
+def random_windowed_composition(rng, u):
+    """(map, h, wcap): a map whose leading power of x is -1 or +1, either
+    with higher powers or with graded terms below the leading power (so
+    that 1/ev is a finite expansion under the cut), windows on either
+    component, and h with negative powers, phi-parts and maybe a window."""
+    lead = rng.choice([-1, 1])
+    f = {lead: _small(rng)}
+    if rng.random() < 0.5:
+        # 1/ev expands in positive powers, pruned past the cut
+        for n in rng.sample(range(lead + 1, lead + 6), 2):
+            f[n] = _small(rng)
+    else:
+        # the graded cut ends the expansion of 1/ev
+        f[lead - rng.randrange(1, 3)] = u * _small(rng)
+    n = lead + rng.randrange(1, 4)
+    f[n] = u * _small(rng) + f.get(n, 0)
+    g = {rng.randrange(lead, lead + 4): _small(rng) * z(rng.randrange(1, 4))}
+    ev = S(f, g, nmax=rng.choice([None, None, 3, 5, 6]))
+    od = S({rng.randrange(0, 4): _small(rng) * z(rng.randrange(1, 5))},
+           {0: _small(rng), rng.randrange(1, 4): _small(rng)},
+           nmax=rng.choice([None, None, 4, 6]))
+    h = S({n: _small(rng) for n in rng.sample(range(-3, 4), 3)},
+          {n: _small(rng) for n in rng.sample(range(-2, 3), 2)},
+          nmax=rng.choice([None, None, 4]))
+    return SuperMap(ev, od), h, rng.randrange(2, 6)
+
+
+def test_composition_window_is_sound_against_two_extensions(monkeypatch):
+    # every coefficient inside a composition's claimed window is the one
+    # the inputs give whatever their terms past their windows are: two
+    # random extensions of the windowed inputs, each composed uncut, agree
+    # with it there
+    rng = random.Random(67)
+    u = GE.evar("u", 1, W)
+    trunc = ({"u": 1}, 2)
+    # the first case: h = 3x^-2 - 2x^2 + 3x^-1 phi - x phi after (x + u,
+    # 2 phi exact to x^6) at wcap 4, once claimed through x^4
+    cases = [(SuperMap(S({1: 1, 0: u}), S({}, {0: 2}, nmax=6)),
+              S({-2: 3, 2: -2}, {-1: 3, 1: -1}), 4)]
+    cases += [random_windowed_composition(rng, u) for _ in range(60)]
+    checked = 0
+    for m, h, wcap in cases:
+        try:
+            got = m.compose_series(h, wcap=wcap, trunc=trunc)
+        except (WindowError, NotInvertible):
+            continue
+        if got.nmax is None:
+            continue
+        checked += 1
+        # with a graded term below ev's leading power, only the graded cut
+        # ends 1/ev, so its extension is graded too
+        below = m.ev.support_min() < \
+            SuperSeries(m.ev.el.truncate(*trunc[:1], 0)).support_min()
+        for _ in range(2):
+            ext = SuperMap(_extended(rng, m.ev, False, u if below else 1),
+                           _extended(rng, m.od, True))
+            want = _compose_uncut(monkeypatch, ext, _extended(rng, h, False),
+                                  wcap, trunc)
+            assert want.nmax is None or want.nmax >= got.nmax
+            lo = min(got.support_min() or 0, want.support_min() or 0)
+            for n in range(lo, got.nmax + 1):
+                assert got.coeff_x(n) == want.coeff_x(n), (m, h, wcap, n)
+    assert checked > 30

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supersew.scalars import GQ
-from supersew import sewing
+from supersew import series, sewing
 from supersew.grassmann import GrassmannElement as GE, ge_exp, ge_log
 from supersew.nscoord import (CoordData, InfCoordData, data_width, e_hat,
                               e_hat_inv, e_tilde, inf_exp_map, max_index,
@@ -829,7 +829,7 @@ def _center_by_fixed_point(hd0, f1_inv, wcap, trunc, w):
     mp = GE.zero(w)
     for _ in range(trunc[1] + 2):
         chain = sewing._inf_chain((ap, mp), f1_inv, hd0, wcap, trunc, w)
-        got = sewing.e_inf_inv_flipped(chain, 1, trunc, check=False)
+        got = sewing.e_inf_inv_flipped(chain, 1, trunc)
         a1 = got.A.get(1, GE.zero(w))
         m1 = got.M.get(1, GE.zero(w))
         if not a1 and not m1:
@@ -876,6 +876,21 @@ def test_zero_tube_recentring_is_one_read_off(monkeypatch):
         assert 1 not in out.inf.A and 1 not in out.inf.M, k
     # the translation part had an odd entry to remove
     assert len(seen) == len(q1s) and any(m1 for _a1, m1 in seen)
+
+
+def test_zero_tube_closing_after_a_bodyful_recentring(monkeypatch):
+    # closing the one tube of a point whose infinity datum has a bodyful
+    # A_1, left by a first zero-tube sewing's recentring: every composition
+    # at infinity is cut, and gives what the route that cuts no product
+    # gives
+    trunc = ({"g": 1}, 2)
+    kw = dict(degree_cap=2, idxcap=6, trunc=trunc, finalize=False)
+    q = sew(std2(sc(3) + z(5) * z(6), z(7)).mark("g"), 2,
+            zero_tube_point().mark("g"), **kw)
+    assert q.n == 1 and q.inf.A[1].body() == -3
+    got = sew(q, 1, zero_tube_point().mark("g"), **kw)
+    monkeypatch.setattr(series, "_cut_margin", lambda *args: 10 ** 6)
+    assert sew(q, 1, zero_tube_point().mark("g"), **kw) == got
 
 
 def test_sew_last_tube_with_zero_tube_point_matches_permuted_first():
@@ -972,7 +987,8 @@ def test_exponential_maps_invert_by_negating_their_terms():
         korder = 1 + 2 * 2 + 2
         ref = e_hat(d, trunc=trunc).inverse_at_zero(order=korder, trunc=trunc)
         assert k.ev.nmax is None and k.od.nmax is None
-        assert max(k.ev.support_max(), k.od.support_max()) < korder
+        assert max(s.xexp(key) for s in (k.ev, k.od) for key in s.el.t) \
+            < korder
         assert (k.ev.el, k.od.el) == (ref.ev.el, ref.od.el)
 
 
@@ -1007,9 +1023,10 @@ def deep_point(rng):
 
 
 def test_each_read_off_fits_its_first_window(monkeypatch):
-    # sew builds each read-off's chain once; its slack (the chain's window
-    # less the top degree read) is at least 1 for a coordinate and 0 for
-    # the infinity datum, the bounds given at sew's wcap
+    # sew builds each read-off's chain once, cut at idxcap; its slack (the
+    # chain's window less the top degree read) is 0 for a coordinate, whose
+    # chain keeps that window exactly, and at least 1 for the infinity
+    # datum, read through y^(idxcap - 1)
     slacks = {"coord": [], "inf": []}
     hat_inv, inf_inv = sewing.e_hat_inv, sewing.e_inf_inv_flipped
 
@@ -1021,9 +1038,9 @@ def test_each_read_off_fits_its_first_window(monkeypatch):
         record("coord", H, order)
         return hat_inv(H, order, trunc)
 
-    def inf(Hf, idxcap, trunc, check=True):
+    def inf(Hf, idxcap, trunc):
         record("inf", Hf, idxcap - 1)
-        return inf_inv(Hf, idxcap, trunc, check)
+        return inf_inv(Hf, idxcap, trunc)
     monkeypatch.setattr(sewing, "e_hat_inv", hat)
     monkeypatch.setattr(sewing, "e_inf_inv_flipped", inf)
     rng = random.Random(3)
@@ -1036,8 +1053,8 @@ def test_each_read_off_fits_its_first_window(monkeypatch):
              (e, 1, zero_tube_point()), (deep, 1, zero_tube_point())]
     for qa, i, qb in cases:
         assert sew(qa, i, qb, degree_cap=2).n == qa.n + qb.n - 1
-    # both bounds are reached; the deep point reaches its bound past wcap
-    assert min(slacks["coord"]) == 1 and min(slacks["inf"]) == 0
+    # both bounds are reached
+    assert min(slacks["coord"]) == 0 and min(slacks["inf"]) == 1
 
 
 def _sew_reading_every_tube(Q1, i, Q2, degree_cap, trunc):
