@@ -272,9 +272,10 @@ class _ExpSlices:
 
         T_k[w] = -(1/k) sum_s c_s X_s(T_{k-1}[w - s]),
 
-    cut by ``trunc`` as ``exp_ns_terms`` cuts each term.  Component 0 starts
-    from x (weight 2), component 1 from phi (weight 1); ``step`` is the
-    direction (+1 or -1) in which every s, hence every weight, runs.
+    with the cut ``trunc`` inside each product c_s X_s(...), as in
+    ``exp_ns_terms``.  Component 0 starts from x (weight 2), component 1
+    from phi (weight 1); ``step`` is the direction (+1 or -1) in which every
+    s, hence every weight, runs.
     """
 
     def __init__(self, H, trunc, step):
@@ -291,7 +292,7 @@ class _ExpSlices:
     def _term(self, c, src, s):
         """-c X_s(src)."""
         d = SuperSeries(src).apply_derivation(s)
-        return -(c * d.el)
+        return -c.mul(d.el, self.trunc)
 
     def extend(self, comp, w):
         """Build the slices of component ``comp`` through weight w."""
@@ -310,7 +311,7 @@ class _ExpSlices:
                         acc = acc + self._term(c, src[k - 1], s)
                 if k > 1 and acc:
                     acc = acc * GQ(Fraction(1, k))
-                col.append(_cut(acc, self.trunc))
+                col.append(acc)
             while len(col) > 2 and not col[-1]:
                 col.pop()
             sl[v] = col
@@ -328,12 +329,10 @@ class _ExpSlices:
         as far, so on a slice already built c reaches only the first-order
         term, at weight w0 + s."""
         self.terms.append((s, c))
-        for comp in (0, 1):
-            w = self.w0[comp] + s
-            col = self.sl[comp].get(w)
+        for comp, w0 in enumerate(self.w0):
+            col = self.sl[comp].get(w0 + s)
             if col is not None:
-                col[1] = col[1] + _cut(self._term(c, self.sl[comp][
-                    self.w0[comp]][0], s), self.trunc)
+                col[1] = col[1] + self._term(c, self.sl[comp][w0][0], s)
 
 
 def _read_off(H, slots, trunc, scale=(None, None)):

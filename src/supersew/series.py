@@ -235,30 +235,15 @@ def _with_x(rest, e):
     return rest[:i] + ((XVAR, e),) + rest[i:]
 
 
-def apply_ns_terms(series, terms):
-    """Apply sum_i coeff_i * (L or G generator) to a SuperSeries.
-
-    terms: iterable of (idx2, coeff) with idx2 the doubled index (even for L,
-    odd for G) and coeff a GrassmannElement whose parity matches the
-    generator (even with L, odd with G).
-    """
-    out = None
-    for idx2, coeff in terms:
-        piece = series.apply_derivation(idx2)
-        piece = piece.clone(el=coeff * piece.el)
-        out = piece if out is None else out + piece
-    if out is None:
-        return series.clone(el=GE.zero(series.el.width), nmax=None)
-    return out
-
-
 def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None):
     """exp(sum coeff * generator) applied to a SuperSeries.
 
     Positive-index terms raise the x-degree, so an x-degree cap makes the
     sum finite; negative-index terms lower it, so a lower window ``xfloor``
     is sound there (reads above the floor are untouched).  Otherwise a
-    graded truncation ``trunc`` on the coefficients must cut the sum.
+    graded truncation ``trunc`` on the coefficients must cut the sum.  Each
+    step cuts every derivative to the step's window and every product by
+    ``trunc`` as it forms it, so no term past either is formed.
 
     With positive-index terms, ``xcap`` is the exactness window of the
     result: whenever the cap drops a monomial (even one whose whole term
@@ -285,8 +270,12 @@ def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None):
     term = series
     pruned = False
     for n in range(1, 501):
-        term = apply_ns_terms(term, terms)
-        term = term.clone(el=term.el * GQ(Fraction(1, n)))
+        ds = [term.apply_derivation(i2) for i2, _ in terms]
+        nm = _min_none(*[d.nmax for d in ds])  # the step's window
+        el = GE.zero(series.width)
+        for (_, c), d in zip(terms, ds):
+            el = el + c.mul(SuperSeries(d.el, nm).el, trunc)
+        term = SuperSeries(el * GQ(Fraction(1, n)), nm)
         if xcap is not None and all_pos:
             # x-pruning is only sound when no generator can lower the degree
             cut = term.truncate_x(xcap)
@@ -295,8 +284,6 @@ def exp_ns_terms(series, terms, xcap=None, trunc=None, xfloor=None):
             term = cut
         if xfloor is not None and all_neg:
             term = floor_prune(term)
-        if trunc is not None:
-            term = term.clone(el=term.el.truncate(*trunc))
         if not term.el:
             break
         out = out + term

@@ -13,10 +13,12 @@ stack, and every map composition also at its x-window ``wcap``; a
 composition cuts each partial product at a cap plus the most the factors
 still to come can lower it, so negative powers of x need no other path.
 The cuts go into the product (``GrassmannElement.mul``), so no term past
-them is formed.  Unmark: ``subs`` sets the variables back to 1.  Every
-series computed here is then a finite Laurent polynomial, and a composition
-cut at ``wcap`` carries the window it is exact on, as do expansions of
-powers of (w + invertible).
+them is formed.  The sewing factorization exp(-A.L+) asqrt^{-2L_0}
+exp(-B.L-) = exp(psi_-) exp(psi_+) (asqrt e^{-psi_0})^{-2L_0} takes its
+left side from its start's two factors.  Unmark: ``subs`` sets the
+variables back to 1.  Every series computed here is then a finite Laurent
+polynomial, and a composition cut at ``wcap`` carries the window it is
+exact on, as do expansions of powers of (w + invertible).
 
 What a sewing moves: a tube's datum changes only through the map on its own
 side, and ``sew`` reads off only what a map moves.  Q1's tubes stay when psi
@@ -32,7 +34,7 @@ from fractions import Fraction
 from .scalars import GQ
 from .grassmann import GrassmannElement as GE, NotInvertible, ge_exp, ge_log
 from .nscoord import (CoordData, InfCoordData, data_width, e_hat, e_hat_inv,
-                      e_inf_inv, e_tilde, inf_exp_map, max_index, ns_terms)
+                      e_inf_inv, inf_exp_map, max_index, ns_terms)
 from .series import PHI, XVAR, SuperMap, SuperSeries, exp_ns_map
 
 
@@ -133,19 +135,20 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
     """The canonical factorization coefficients of the sewing uniformizer.
 
     Returns (table, fbar1, f2_inv).  The table {doubled index j2: coefficient}
-    satisfies the exponential-switching identity: moving the middle dilation
-    through the raising exponential regroups the product into raising *
-    lowering * dilation factors with these coefficients, uniquely once the
-    leading linear terms are pinned.  ``sew`` reuses the closing residual's
-    maps fbar1 = exp(psi_-) and f2_inv = exp(psi_+) then the dilation.
+    satisfies the exponential-switching identity exp(-A.L+) asqrt^{-2L_0}
+    exp(-B.L-) = exp(psi_-) exp(psi_+) (asqrt e^{-psi_0})^{-2L_0}, unique
+    once the leading linear terms are pinned; fbar1 = exp(psi_-) and f2_inv
+    = exp(psi_+) then the dilation are the closing residual's maps.
 
     The solve starts from the first-order table, cut by ``trunc``: psi_{2j} =
     -A_j, psi_{r2} = -M_{r2}, psi_{-2j} = -asqrt^{-2j} B_j and psi_{-r2} =
-    -asqrt^{-r2} N_{r2} (a^{-2L_0} conjugation).  With A, M or B, N empty the
-    left side is one exponential and a dilation, so this start is exact and the
-    first residual vanishes; else it is right through degree 1.  The entries
-    come marked by the caller's bookkeeping variables, and ``trunc`` cuts at
-    total degree degree_cap in them; the coefficients keep the marks.
+    -asqrt^{-r2} N_{r2}, the conjugation asqrt^{-2L_0} exp(-B.L-) =
+    exp(psi_-) asqrt^{-2L_0}.  So the left side is the start's exp(psi_+),
+    then its exp(psi_-), then the dilation.  With A, M or B, N empty the
+    start is exact and the first residual vanishes; else it is right through
+    degree 1.  The entries come marked by the caller's bookkeeping
+    variables, and ``trunc`` cuts at total degree degree_cap in them; the
+    coefficients keep the marks.
     """
     if degree_cap < 1:
         raise ValueError("degree cap must be at least 1")
@@ -153,41 +156,39 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
     jmax = degree_cap * (max_index((A, M), (B, N)) or 1)
     ai = asqrt.inverse(trunc)
     a2i = ai * ai
-
-    h_a = e_tilde(A, M, trunc=trunc, width=w)
-    h_b = exp_ns_map(ns_terms(B, N, negate=True, raising=True), w,
-                     trunc=trunc)
-    lhs = h_a.then(SuperMap.dilation(asqrt)).then(h_b, trunc=trunc)
-
+    zero = GE.zero(w)
     psi = {j2: c.truncate(*trunc) for j2, c in ns_terms(A, M, negate=True)
            + [(-k, ai ** k * c) for k, c in ns_terms(B, N, negate=True)]}
 
+    def factors():  # (exp(psi_-), exp(psi_+)) of the current table
+        return [exp_ns_map([(j2, c) for j2, c in psi.items()
+                            if c and j2 * side > 0], w, trunc=trunc)
+                for side in (-1, 1)]
+
+    em, ep = factors()
+    lhs = ep.then(em, trunc=trunc).then(SuperMap.dilation(asqrt), trunc=trunc)
     # at most degree_cap updates, each fixing one more degree, then a check
     for d in range(degree_cap + 1):
-        hm = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 < 0 and c],
-                        w, trunc=trunc)
         # the L_0 factor and a^{-2L_0} make one dilation
-        h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, GE.zero(w)), trunc))
-        hp = exp_ns_map([(j2, c) for j2, c in psi.items() if j2 > 0 and c],
-                        w, trunc=trunc).then(h0, trunc=trunc)
-        r = hm.then(hp, trunc=trunc)
+        h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, zero), trunc))
+        hp = ep.then(h0, trunc=trunc)
+        r = em.then(hp, trunc=trunc)
         delta = SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
         if not delta.ev.el and not delta.od.el:
-            return {j2: c for j2, c in psi.items() if c}, hm, hp
+            return {j2: c for j2, c in psi.items() if c}, em, hp
         if d == degree_cap:
             raise SewError("sewing factorization did not close: %r" % delta)
         for j in range(-jmax, jmax + 1):
             ce = delta.ev.f_coeff(j + 1)
             if ce:
-                upd = -(a2i * ce)
+                upd = -a2i.mul(ce, trunc)
                 if j == 0:
                     upd = upd * GQ(Fraction(1, 2))
-                psi[2 * j] = (psi.get(2 * j, GE.zero(w)) + upd) \
-                    .truncate(*trunc)
+                psi[2 * j] = psi.get(2 * j, zero) + upd
             co = delta.od.f_coeff(j)
             if co:
-                psi[2 * j - 1] = (psi.get(2 * j - 1, GE.zero(w)) - ai * co) \
-                    .truncate(*trunc)
+                psi[2 * j - 1] = psi.get(2 * j - 1, zero) - ai.mul(co, trunc)
+        em, ep = factors()
 
 
 def solve_gamma(asqrt, A, M, B, N, degree_cap):
@@ -264,11 +265,10 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     The surviving tubes keep their order (Q1's tubes before i, Q2's tubes,
     Q1's tubes after i), and the last one is pinned at 0.
 
-    With trunc=None the coordinate data of both points is tagged by a
-    bookkeeping variable "g" and the result is exact through total data
-    degree <= degree_cap (the tag is substituted away unless
-    finalize=False).  Passing an explicit trunc continues an existing
-    grading, e.g. for associativity comparisons across iterated sewings.
+    trunc=None marks the data by "g" and cuts at the degree cap in g; the
+    result is then unmarked (g = 1) and validated unless finalize=False.  An
+    explicit trunc continues an existing grading, and the result keeps its
+    marks.
 
     A tube at c in its own sphere lands at q = F(c) and is read off the
     chain s_q^{-1}, F^{-1}, s_c, e_hat(datum); the infinity datum off the
@@ -287,7 +287,8 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     if not 1 <= i <= Q1.n:
         raise SewError("no puncture %d to sew into" % i)
     w = max(Q1.width, Q2.width)
-    if trunc is None:
+    marked = trunc is None
+    if marked:
         Q1 = Q1.mark("g")
         Q2 = Q2.mark("g")
         trunc = ({"g": 1}, degree_cap)
@@ -380,7 +381,7 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     inf = inf_at(p) if inf_moved else Q1.inf.truncate(idxcap, trunc)
     out = ModuliPoint(m + n - 1, new_punct, inf, new_coords, w,
                       validate=False)
-    if finalize:
+    if finalize and marked:
         out = out.subs({"g": GE.one(w)})
         out.validate()
     return out
@@ -415,10 +416,11 @@ def sn_act(sigma, Q, cap, idxcap=None, trunc=None, finalize=True):
     as s_(s_p(q)) o s_p = s_q): every other puncture q becomes s_p(q), the
     old origin -p, and the infinity datum is read off through s_p^{-1}.
 
-    trunc=None tags the data by "g" and cuts at total degree cap, and the
-    tag is substituted away unless finalize=False; an explicit trunc
-    continues an existing grading.  The infinity datum is exact through
-    index idxcap, by default derived from the input's largest index.
+    trunc=None marks the data by "g" and cuts at the degree cap in g; the
+    result is then unmarked (g = 1) and validated unless finalize=False.  An
+    explicit trunc continues an existing grading, and the result keeps its
+    marks.  The infinity datum is exact through index idxcap, by default
+    derived from the input's largest index.
     """
     n = Q.n
     if len(sigma) != n:

@@ -7,8 +7,7 @@ from supersew.scalars import GQ
 from supersew.grassmann import (GrassmannElement as GE, NotInvertible,
                                 key_weight)
 from supersew.series import (PHI, XVAR, SuperMap, SuperSeries, WindowError,
-                             _series_inverse_el, apply_ns_terms,
-                             exp_ns_terms)
+                             _series_inverse_el, exp_ns_terms)
 
 W = 6
 

@@ -127,8 +127,8 @@ def _psi_cases(seed, count, two_sided):
 
 
 def _solve_psi_counting_passes(monkeypatch, *args):
-    """solve_psi's output and its number of residual passes: one exp_ns_map
-    call builds the left side, then two build each pass's maps."""
+    """solve_psi's output and its number of residual passes: two exp_ns_map
+    calls build each pass's factors, and the left side builds none."""
     calls = []
 
     def counted(*a, **kw):
@@ -136,7 +136,7 @@ def _solve_psi_counting_passes(monkeypatch, *args):
         return exp_ns_map(*a, **kw)
     monkeypatch.setattr(sewing, "exp_ns_map", counted)
     out = solve_psi(*args)
-    return out, (len(calls) - 1) // 2
+    return out, len(calls) // 2
 
 
 def test_psi_matches_zero_start_reference(monkeypatch):
@@ -193,6 +193,41 @@ def test_psi_one_sided_is_the_first_order_table_in_one_pass(monkeypatch):
             monkeypatch, asqrt, A, M, B, N, cap, trunc, W)
         assert passes == 1, (cap, A, M, B, N)
         assert psi == {j2: c for j2, c in want.items() if c}
+
+
+def test_start_factors_give_the_left_side(monkeypatch):
+    # exponential switching: asqrt^{-2L_0} exp(-B.L-) = exp(psi_-)
+    # asqrt^{-2L_0} with psi_{-2j} = -asqrt^{-2j} B_j, so solve_psi's start
+    # factors E- = exp(psi_-) and E+ = exp(psi_+) (its first two maps) give
+    # the left side exp(-A.L+) asqrt^{-2L_0} exp(-B.L-) built from the data
+    starts = []
+
+    def kept(*a, **kw):
+        starts.append(exp_ns_map(*a, **kw))
+        return starts[-1]
+    monkeypatch.setattr(sewing, "exp_ns_map", kept)
+    rng = random.Random(31)
+    asqrt = PSI_ASQRTS[1][0]  # a body and a nilpotent part
+    dil = SuperMap.dilation(asqrt)
+    for cap in (2, 3, 4) * 2:
+        trunc = ({"u": 1, "v": 1}, cap)
+        (A, M), (B, N) = (_random_psi_data(rng, side) for side in "uv")
+        # odd entries on both sides
+        M[5] = GE.evar("u", 1, W) * z(2)
+        N[3] = GE.evar("v", 1, W) * (z(1) + z(6))
+        data_side = e_tilde(A, M, trunc=trunc, width=W).then(dil).then(
+            exp_ns_map(ns_terms(B, N, negate=True, raising=True), W,
+                       trunc=trunc), trunc=trunc).truncate(*trunc)
+        del starts[:]
+        solve_psi(asqrt, A, M, B, N, cap, trunc, W)
+        e_minus, e_plus = starts[:2]
+        got = e_plus.then(e_minus, trunc=trunc).then(dil, trunc=trunc)
+        assert got.truncate(*trunc) == data_side, (cap, A, M, B, N)
+        # negative control: conjugating by asqrt^{+2j} breaks the identity
+        wrong = exp_ns_map([(-k, asqrt ** k * c) for k, c
+                            in ns_terms(B, N, negate=True)], W, trunc=trunc)
+        got = e_plus.then(wrong, trunc=trunc).then(dil, trunc=trunc)
+        assert got.truncate(*trunc) != data_side, (cap, A, M, B, N)
 
 
 def test_gamma_leading_coefficients():
@@ -524,6 +559,37 @@ def test_sn_last_transposition_involution():
     out = sn_act((2, 1), q, cap=3)
     back = sn_act((2, 1), out, cap=3)
     assert back == q
+
+
+def test_sn_last_transposition_involution_on_index_two_infinity_data():
+    # index-2 infinity data, nilpotent and with a body: the recentring and
+    # its inverse give the marked point back, its infinity datum cut on the
+    # slots the read-off returns
+    base = random_sk2(random.Random(13))
+    for inf in (InfCoordData({2: z(4) * z(8)}, {3: z(4)}),
+                InfCoordData({2: sc(2)}, {3: z(4)})):
+        q = ModuliPoint(2, base.punctures, inf, base.coords, W).mark("g")
+        for cap in (2, 3):
+            trunc = ({"g": 1}, cap)
+            kw = dict(idxcap=7, trunc=trunc, finalize=False)
+            back = sn_act((2, 1), sn_act((2, 1), q, cap, **kw), cap, **kw)
+            assert back == ModuliPoint(2, q.punctures,
+                                       q.inf.truncate(7, trunc), q.coords,
+                                       W, validate=False), (inf, cap)
+
+
+def test_explicit_trunc_keeps_the_marks():
+    # sew and sn_act unmark only what they marked: with the caller's trunc
+    # the default finalize returns the point still marked
+    q = random_sk2(random.Random(13)).mark("g")
+    unit = ModuliPoint.unit(W).mark("g")
+    trunc = ({"g": 1}, 2)
+    kept = sew(q, 2, unit, 2, trunc=trunc, finalize=False)
+    assert kept != kept.subs({"g": GE.one(W)})
+    assert sew(q, 2, unit, 2, trunc=trunc) == kept
+    kw = dict(idxcap=7, trunc=trunc)
+    assert sn_act((2, 1), q, 2, **kw) == \
+        sn_act((2, 1), q, 2, finalize=False, **kw)
 
 
 def random_sk3(rng):
