@@ -7,7 +7,7 @@ supported family of odd elements M_{j-1/2} (stored under the doubled index
 2j-1).  The forward maps build
 
     e_tilde(A, M)        = exp(-sum_j (A_j L_j + M_{j-1/2} G_{j-1/2})) . (x, phi)
-    e_hat(asqrt, A, M)   = (asqrt^2 * even part, asqrt * odd part)
+    e_hat(asqrt, A, M)   = e_tilde(A, M), then the dilation asqrt^{-2L_0}
 
 and the inverses recover the data degree by degree from the pure-x
 coefficients of the two components.  The infinity-side analogue uses the
@@ -166,45 +166,41 @@ def e_tilde(A, M, order=None, trunc=None, width=0):
 
 
 def e_hat(d, order=None, trunc=None):
-    """The series of a coordinate datum: dilation after e_tilde.
-
-    ``order`` is the exactness window, as in ``e_tilde``; ``e_hat_inv``
-    raises WindowError when asked to read above it.
-    """
-    base = e_tilde(d.A, d.M, order, trunc, d.asqrt.width)
-    a = d.asqrt
-    return SuperMap(base.ev.clone(el=a * a * base.ev.el),
-                    base.od.clone(el=a * base.od.el))
+    """The series of a coordinate datum: e_tilde, then the dilation
+    asqrt^{-2L_0}, cut by ``trunc``.  ``order`` is the exactness window, as
+    in ``e_tilde``; ``e_hat_inv`` raises WindowError when asked to read
+    above it."""
+    return e_tilde(d.A, d.M, order, trunc, d.asqrt.width).then(
+        SuperMap.dilation(d.asqrt), trunc=trunc)
 
 
 def e_hat_inv(H, order, trunc=None):
     """Recover (asqrt, A, M) from a superconformal series vanishing at 0.
 
+    asqrt is the odd component's phi-coefficient at x^0, and H then the
+    inverse dilation, cut by ``trunc``, is e_tilde(A, M), which
     ``_read_off`` solves degree by degree: at x^n the even slot gives
-    A_{n-1}, then the odd slot M_{n-1/2}, each from the weight slices of
-    the exponential built so far, so no slice is built twice.  Raises
-    WindowError when H is not exact through the requested order and
-    ValueError when H is visibly not of the required shape (nonzero value
-    at 0, stray pure-x coefficients that no datum can produce, non-invertible
-    leading coefficient).  The read-off matches the other pure-x
-    coefficients through x^order by construction; ``_check_phi_parts``
-    tests the phi-parts at x^0 .. x^(order-1) (the one at x^order involves
-    the unsolved index-order entries).
+    A_{n-1}, then the odd slot M_{n-1/2}, each from the weight slices of the
+    exponential built so far.  Raises WindowError when H is not exact
+    through the requested order and ValueError when H is visibly not of the
+    required shape (nonzero value at 0, stray pure-x coefficients that no
+    datum can produce, non-invertible leading coefficient).  The read-off
+    matches the other pure-x coefficients through x^order by construction;
+    ``_check_phi_parts`` tests the phi-parts at x^0 .. x^(order-1) (the one
+    at x^order involves the unsolved index-order entries).
     """
-    ev, od = H.ev, H.od
-    for comp in (ev, od):
+    for comp in (H.ev, H.od):
         comp.require_window(order)
-    if ev.f_coeff(0):
+    if H.ev.f_coeff(0):
         raise ValueError("series does not vanish at 0")
-    asqrt = od.g_coeff(0)
-    ai = asqrt.inverse(trunc)
-    a2i = ai * ai
-    if od.f_coeff(0):
+    asqrt = H.od.g_coeff(0)
+    if H.od.f_coeff(0):
         raise ValueError("odd component has a constant term")
-    if _cut(a2i * ev.f_coeff(1) - GE.one(H.width), trunc):
+    E = H.then(SuperMap.dilation(asqrt.inverse(trunc)), trunc=trunc)
+    if E.ev.f_coeff(1) != 1:
         raise ValueError("x-coefficient of the even part is not asqrt^2")
-    res, sl = _read_off(H, range(1, 2 * order), trunc, (a2i, ai))
-    _check_phi_parts(H, sl, range(0, order), trunc, (a2i, ai))
+    res, sl = _read_off(E, range(1, 2 * order), trunc)
+    _check_phi_parts(E, sl, range(0, order), trunc)
     A = {s // 2: v for s, v in res.items() if s % 2 == 0}
     M = {s: v for s, v in res.items() if s % 2}
     return CoordData(asqrt, A, M)
@@ -247,18 +243,14 @@ def _cut(el, trunc):
     return el if trunc is None else el.truncate(*trunc)
 
 
-def _scaled(h, c):
-    return h if c is None else c * h
-
-
-def _check_phi_parts(H, sl, degrees, trunc, scale=(None, None)):
+def _check_phi_parts(H, sl, degrees, trunc):
     """Raise ValueError unless the phi-part of each component of H at x^n,
-    for n in ``degrees`` (times ``scale`` of that component when given),
-    matches the weight-(2n+1) slice that ``_read_off`` built in ``sl``."""
+    for n in ``degrees``, matches the weight-(2n+1) slice that
+    ``_read_off`` built in ``sl``."""
     for k, comp in enumerate((H.ev, H.od)):
         for n in degrees:
             got = sl.slice(k, 2 * n + 1).g_coeff(n)
-            if _cut(_scaled(comp.g_coeff(n), scale[k]) - got, trunc):
+            if _cut(comp.g_coeff(n) - got, trunc):
                 raise ValueError("series is not of exponential shape in its "
                                  "phi-part at x^%d" % n)
 
@@ -335,16 +327,16 @@ class _ExpSlices:
                 col[1] = col[1] + self._term(c, self.sl[comp][w0][0], s)
 
 
-def _read_off(H, slots, trunc, scale=(None, None)):
+def _read_off(H, slots, trunc):
     """Solve exp(-sum_s c_s X_s) . (x, phi) = H slot by slot.
 
     ``slots`` lists the doubled indices s in order of |s|.  The term
     -c_s X_s first reaches component s % 2 at weight w0 + s, a pure-x
     coefficient, and only at first order: -c_s X_s(x) = c_s x^(1+s/2) and
     -c_s X_s(phi) = c_s x^((s+1)/2).  So c_s is the residual there: H's
-    coefficient (times ``scale`` of that component when given) less the
-    slice built from the earlier slots.  Returns ({s: c_s} for the nonzero
-    c_s, the slices), which then hold the exponential of the solved terms.
+    coefficient less the slice built from the earlier slots; H has no
+    dilation.  Returns ({s: c_s} for the nonzero c_s, the slices), which
+    then hold the exponential of the solved terms.
     """
     step = -1 if slots and slots[0] < 0 else 1
     sl = _ExpSlices(H, trunc, step)
@@ -353,7 +345,7 @@ def _read_off(H, slots, trunc, scale=(None, None)):
         comp = s % 2
         w = sl.w0[comp] + s
         sl.extend(comp, w)
-        h = _scaled((H.ev, H.od)[comp].f_coeff(w // 2), scale[comp])
+        h = (H.ev, H.od)[comp].f_coeff(w // 2)
         r = _cut(h - sl.slice(comp, w).f_coeff(w // 2), trunc)
         if r:
             res[s] = r

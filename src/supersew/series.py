@@ -428,17 +428,17 @@ class SuperMap:
                         self.compose_series(outer.od, wcap, trunc))
 
     def eval_at(self, z, theta, trunc=None):
-        """Evaluate both components at a point; series must be exact."""
+        """Evaluate both components at a point; series must be exact.
+        ``trunc`` cuts every product of the substitution and the inverse."""
+        truncs = None if trunc is None else [trunc]
         vals = []
         for comp in (self.ev, self.od):
             if comp.nmax is not None:
                 raise WindowError("evaluation requires an exact series")
-            inv = None
+            inverses = None
             if comp.support_min() is not None and comp.support_min() < 0:
-                inv = z.inverse(trunc)
-            vals.append(comp.el.subs({XVAR: z, PHI: theta},
-                                     inverses={XVAR: inv} if inv is not None
-                                     else None))
+                inverses = {XVAR: z.inverse(trunc)}
+            vals.append(comp.el.subs({XVAR: z, PHI: theta}, inverses, truncs))
         return vals[0], vals[1]
 
     # -- inversion ---------------------------------------------------------

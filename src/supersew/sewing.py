@@ -12,13 +12,15 @@ degree in the variables, the ``trunc`` pair (weights, cap) passed down the
 stack, and every map composition also at its x-window ``wcap``; a
 composition cuts each partial product at a cap plus the most the factors
 still to come can lower it, so negative powers of x need no other path.
-The cuts go into the product (``GrassmannElement.mul``), so no term past
-them is formed.  The sewing factorization exp(-A.L+) asqrt^{-2L_0}
-exp(-B.L-) = exp(psi_-) exp(psi_+) (asqrt e^{-psi_0})^{-2L_0} takes its
-left side from its start's two factors.  Unmark: ``subs`` sets the
-variables back to 1.  Every series computed here is then a finite Laurent
-polynomial, and a composition cut at ``wcap`` carries the window it is
-exact on, as do expansions of powers of (w + invertible).
+A map evaluated at a point and a super-translated point are cut too, so no
+puncture that ``sew`` or ``sn_act`` moves holds a term past the cap.  The
+cuts go into the product (``GrassmannElement.mul``), so no term past them
+is formed.  The sewing factorization exp(-A.L+) asqrt^{-2L_0} exp(-B.L-) =
+exp(psi_-) exp(psi_+) (asqrt e^{-psi_0})^{-2L_0} is solved before its
+common dilation, one degree per pass.  Unmark: ``subs`` sets the variables
+back to 1.  Every series computed here is then a finite Laurent polynomial,
+and a composition cut at ``wcap`` carries the window it is exact on, as do
+expansions of powers of (w + invertible).
 
 What a sewing moves: a tube's datum changes only through the map on its own
 side, and ``sew`` reads off only what a map moves.  Q1's tubes stay when psi
@@ -131,31 +133,33 @@ class ModuliPoint:
                 % (self.n, self.punctures, self.inf, self.coords))
 
 
-def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
+def solve_psi(asqrt, A, M, B, N, trunc, width=None):
     """The canonical factorization coefficients of the sewing uniformizer.
 
     Returns (table, fbar1, f2_inv).  The table {doubled index j2: coefficient}
     satisfies the exponential-switching identity exp(-A.L+) asqrt^{-2L_0}
     exp(-B.L-) = exp(psi_-) exp(psi_+) (asqrt e^{-psi_0})^{-2L_0}, unique
-    once the leading linear terms are pinned; fbar1 = exp(psi_-) and f2_inv
-    = exp(psi_+) then the dilation are the closing residual's maps.
+    once the leading linear terms are pinned; fbar1 = exp(psi_-), and f2_inv
+    is exp(psi_+) then the dilation (asqrt e^{-psi_0})^{-2L_0}.
 
     The solve starts from the first-order table, cut by ``trunc``: psi_{2j} =
     -A_j, psi_{r2} = -M_{r2}, psi_{-2j} = -asqrt^{-2j} B_j and psi_{-r2} =
     -asqrt^{-r2} N_{r2}, the conjugation asqrt^{-2L_0} exp(-B.L-) =
     exp(psi_-) asqrt^{-2L_0}.  So the left side is the start's exp(psi_+),
-    then its exp(psi_-), then the dilation.  With A, M or B, N empty the
-    start is exact and the first residual vanishes; else it is right through
-    degree 1.  The entries come marked by the caller's bookkeeping
-    variables, and ``trunc`` cuts at total degree degree_cap in them; the
-    coefficients keep the marks.
+    then its exp(psi_-), then asqrt^{-2L_0}, which ends both sides and is
+    left out.  The start is right through degree 1 (exact when A, M or B, N
+    is empty); pass d, cut at degree d, makes the table right at d, since
+    every factor is the identity at degree 0: a degree-d change of psi
+    meets the degree-d residual only through it, psi_{2n-2} at the even
+    component's pure-x coefficient at x^n (twice, for psi_0) and psi_{2n-1}
+    at the odd one's.  The factors are rebuilt only after an update.  The
+    entries come marked by the caller's bookkeeping variables, cut by
+    ``trunc`` at a total degree in them; the coefficients keep the marks.
     """
-    if degree_cap < 1:
+    if trunc[1] < 1:
         raise ValueError("degree cap must be at least 1")
     w = data_width(asqrt, A, M, B, N) if width is None else width
-    jmax = degree_cap * (max_index((A, M), (B, N)) or 1)
     ai = asqrt.inverse(trunc)
-    a2i = ai * ai
     zero = GE.zero(w)
     psi = {j2: c.truncate(*trunc) for j2, c in ns_terms(A, M, negate=True)
            + [(-k, ai ** k * c) for k, c in ns_terms(B, N, negate=True)]}
@@ -166,29 +170,25 @@ def solve_psi(asqrt, A, M, B, N, degree_cap, trunc, width=None):
                 for side in (-1, 1)]
 
     em, ep = factors()
-    lhs = ep.then(em, trunc=trunc).then(SuperMap.dilation(asqrt), trunc=trunc)
-    # at most degree_cap updates, each fixing one more degree, then a check
-    for d in range(degree_cap + 1):
-        # the L_0 factor and a^{-2L_0} make one dilation
-        h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, zero), trunc))
-        hp = ep.then(h0, trunc=trunc)
-        r = em.then(hp, trunc=trunc)
-        delta = SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*trunc)
+    lhs = ep.then(em, trunc=trunc)
+    for d in range(2, trunc[1] + 1):
+        cut = (trunc[0], d)
+        h0 = SuperMap.dilation(ge_exp(-psi.get(0, zero), cut))
+        r = em.then(ep.then(h0, trunc=cut), trunc=cut)
+        delta = SuperMap(lhs.ev - r.ev, lhs.od - r.od).truncate(*cut)
         if not delta.ev.el and not delta.od.el:
-            return {j2: c for j2, c in psi.items() if c}, em, hp
-        if d == degree_cap:
-            raise SewError("sewing factorization did not close: %r" % delta)
-        for j in range(-jmax, jmax + 1):
-            ce = delta.ev.f_coeff(j + 1)
-            if ce:
-                upd = -a2i.mul(ce, trunc)
-                if j == 0:
-                    upd = upd * GQ(Fraction(1, 2))
-                psi[2 * j] = psi.get(2 * j, zero) + upd
-            co = delta.od.f_coeff(j)
-            if co:
-                psi[2 * j - 1] = psi.get(2 * j - 1, zero) - ai.mul(co, trunc)
+            continue
+        for comp, back in ((delta.ev, 2), (delta.od, 1)):
+            for n in sorted({comp.xexp(k) for k in comp.el.t}):
+                c = comp.f_coeff(n)
+                if c:
+                    j2 = 2 * n - back
+                    if j2 == 0:
+                        c = c * GQ(Fraction(1, 2))
+                    psi[j2] = psi.get(j2, zero) - c
         em, ep = factors()
+    h0 = SuperMap.dilation(asqrt * ge_exp(-psi.get(0, zero), trunc))
+    return {j2: c for j2, c in psi.items() if c}, em, ep.then(h0, trunc=trunc)
 
 
 def solve_gamma(asqrt, A, M, B, N, degree_cap):
@@ -302,7 +302,7 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
         idxcap = degree_cap * jall + jall + 1
 
     psi, fbar1, f2_inv = solve_psi(d_i.asqrt, d_i.A, d_i.M, B0.A, B0.M,
-                                   degree_cap, trunc, w)
+                                   trunc, w)
     zero = GE.zero(w)
 
     # F1 = fbar1 o s_(z_i, theta_i) on Q1's side, inverted by negating terms
@@ -311,22 +311,21 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
                         trunc=trunc).then(SuperMap.shift_inverse(zi, thi))
 
     def f1_eval(pt):
-        x, t = _shift_pt((zi, thi), pt or (zero, zero))
+        x, t = _shift_pt((zi, thi), pt or (zero, zero), trunc)
         return fbar1.eval_at(x, t, trunc=trunc)
 
-    # F2 = e_tilde(psi+) o dilation(ai) o exp(2 p0 L_0) on Q2's side
-    p0 = psi.get(0, zero)
+    # F2 = e_tilde(psi+) o dilation(asqrt^{-1} e^{psi_0}) on Q2's side
     tilde_plus = exp_ns_map([(j2, -c) for j2, c in psi.items() if j2 > 0], w,
                             trunc=trunc)
     if Q2.punctures:  # f2_eval reads these only off the origin
-        ai = d_i.asqrt.inverse(trunc)
-        e2p0, ep0, a2i = ge_exp(2 * p0, trunc), ge_exp(p0, trunc), ai * ai
+        undo = SuperMap.dilation(d_i.asqrt.inverse(trunc).mul(
+            ge_exp(psi.get(0, zero), trunc), trunc))
 
     def f2_eval(pt):
         # F2 fixes the origin, where Q2's last tube is pinned
         if pt is None:
             return None
-        return tilde_plus.eval_at(a2i * (e2p0 * pt[0]), ai * (ep0 * pt[1]),
+        return tilde_plus.eval_at(*undo.eval_at(*pt, trunc=trunc),
                                   trunc=trunc)
 
     # each read-off builds its chain once, cut at the top degree it reads;
@@ -370,7 +369,7 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     # recenter so that the last tube sits at 0
     p = images[-1] if tubes else \
         _solve_center_normalization(hd, f1_inv, idxcap, trunc, w)
-    new_punct = [q if p is None else _shift_pt(p, q or (zero, zero))
+    new_punct = [q if p is None else _shift_pt(p, q or (zero, zero), trunc)
                  for q in images[:-1]]
     # undoing the shift to the new puncture and then the recentering undoes
     # the shift to the image, so each coordinate is read through its image
@@ -387,9 +386,10 @@ def sew(Q1, i, Q2, degree_cap, idxcap=None, trunc=None, finalize=True):
     return out
 
 
-def _shift_pt(p, q):
-    """s_p applied to the point q."""
-    return (q[0] - p[0] - q[1] * p[1], q[1] - p[1])
+def _shift_pt(p, q, trunc):
+    """s_p applied to the point q, cut by ``trunc``."""
+    return ((q[0] - p[0]).truncate(*trunc) - q[1].mul(p[1], trunc),
+            (q[1] - p[1]).truncate(*trunc))
 
 
 def _solve_center_normalization(hd, f1_inv, wcap, trunc, w):
@@ -432,13 +432,13 @@ def sn_act(sigma, Q, cap, idxcap=None, trunc=None, finalize=True):
         Q = Q.mark("g")
         trunc = ({"g": 1}, cap)
     w = Q.width
-    punct = Q.punctures + [None]  # by old position, None at the origin
+    punct = Q.punctures + [(GE.zero(w),) * 2]  # by old position, last at 0
     inf = Q.inf
     if n and sigma[-1] != n:
         last = sigma.index(n)
         p = punct[last]
-        punct = [q if k == last else (-p[0], -p[1]) if q is None
-                 else _shift_pt(p, q) for k, q in enumerate(punct)]
+        punct = [q if k == last else _shift_pt(p, q, trunc)
+                 for k, q in enumerate(punct)]
         if idxcap is None:
             idxcap = (cap + 1) * (max_index((inf.A, inf.M)) or 1) + 1
         chain = _inf_chain(p, None, _inf_map(inf, idxcap, trunc, w), idxcap,
